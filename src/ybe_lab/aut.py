@@ -4,7 +4,7 @@ from .classify import _iso_search
 from .construct import c_params_valid
 from .core import Solution
 from .errors import InvalidParams
-from .perm import Perm, PermGroup, group_closure, is_cyclic  # noqa: F401
+from .perm import Perm, PermGroup, group_closure
 
 
 def automorphism_group(s: Solution) -> PermGroup:

@@ -16,7 +16,7 @@ import itertools
 from typing import NamedTuple
 
 from .construct import CParams, build_c, c_params_valid
-from .core import Solution, solution_from_table
+from .core import Solution, tau_from_sigma
 from .errors import (
     BoundExceeded,
     NotAbelian,
@@ -269,8 +269,13 @@ def exhaustive_enumerate(
     pruning rows that violate the cycle condition on the pairs it already
     determines (and, when the abelian filter is on, rows that fail to
     commute with an earlier row, which any abelian completion needs).
-    Completed tables are verified, filtered, and deduplicated by
-    are_isomorphic; each class is represented by its lexicographically
+    A completed table satisfies the cycle condition on every pair, so it
+    is a finite cycle set, hence non-degenerate (Rump) and a solution; it
+    is not verified again. The tests cover this:
+    test_exhaustive_enumerate_reps_are_solutions_and_distinct (every class
+    up to 4 points) and test_cycle_condition_implies_both_routes (all
+    bijective 3-point tables). Completions are filtered and deduplicated
+    by isomorphism; each class is represented by its lexicographically
     smallest discovered table, which is also discovery order.
     """
     if n < 1:
@@ -325,7 +330,8 @@ def exhaustive_enumerate(
 
     def dfs() -> None:
         if len(rows) == n:
-            sol = solution_from_table(n, list(rows))
+            table = tuple(rows)
+            sol = Solution(n, table, tau_from_sigma(table))
             if accept(sol):
                 record(sol)
             return

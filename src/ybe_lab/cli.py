@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .aut import automorphism_group, is_cyclic
+from .aut import automorphism_group
 from .classify import (
     are_isomorphic,
     count_cyclic,
@@ -23,11 +23,13 @@ from .classify import (
 from .construct import build_c, build_nonabelian_example
 from .core import (
     Solution,
-    solution_from_table,
+    solution_from_json,
+    solution_to_json,
+    table_from_json,
     verify_solution,
 )
 from .errors import YbeError
-from .perm import invariant_factors, is_abelian
+from .perm import invariant_factors, is_abelian, is_cyclic
 
 FILTER_NAMES = {"indecomposable", "abelian", "mpl2"}
 
@@ -43,23 +45,8 @@ def _read_source(path: str) -> str:
         return fh.read()
 
 
-def _load_table(path: str):
-    data = json.loads(_read_source(path))
-    if not isinstance(data, dict) or "n" not in data or "sigma" not in data:
-        raise ValueError(f'{path}: expected an object with "n" and "sigma"')
-    n, sigma = data["n"], data["sigma"]
-    if not isinstance(n, int) or not isinstance(sigma, list) or len(sigma) != n:
-        raise ValueError(f"{path}: sigma must be an n x n table")
-    return n, sigma
-
-
 def _load_solution(path: str) -> Solution:
-    n, sigma = _load_table(path)
-    return solution_from_table(n, sigma)
-
-
-def _solution_dict(s: Solution) -> dict:
-    return {"n": s.n, "sigma": [list(row) for row in s.sigma]}
+    return solution_from_json(_read_source(path))
 
 
 def _note(args, msg: str) -> None:
@@ -69,15 +56,13 @@ def _note(args, msg: str) -> None:
 
 def cmd_construct(args) -> int:
     sol = build_c((args.n1, args.n2, args.r))
-    _print_json(_solution_dict(sol))
+    print(solution_to_json(sol))
     _note(args, f"built family member ({args.n1},{args.n2},{args.r}) on {sol.n} points")
     return 0
 
 
 def cmd_verify(args) -> int:
-    n, sigma = _load_table(args.file)
-    if len(sigma) != n:
-        raise ValueError("sigma must have n rows")
+    _, sigma = table_from_json(_read_source(args.file))
     report = verify_solution(sigma)
     out = {
         "bijective_rows": report.bijective_rows,
@@ -152,7 +137,7 @@ def cmd_enumerate(args) -> int:
             mpl_le_2="mpl2" in flags,
             max_n=args.max_n,
         )
-        _print_json([_solution_dict(s) for s in sols])
+        print("[" + ",".join(solution_to_json(s) for s in sols) + "]")
         _note(args, f"{len(sols)} isomorphism classes on {args.n} points")
     else:
         if args.filter:
@@ -165,7 +150,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_example(args) -> int:
     sol = build_nonabelian_example(args.n)
-    _print_json(_solution_dict(sol))
+    print(solution_to_json(sol))
     _note(args, f"non-abelian witness on {sol.n} points")
     return 0
 

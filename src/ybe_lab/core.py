@@ -13,6 +13,12 @@ Equivalently, sigma satisfies the cycle condition
 for all a, b, with the diagonal map T(a) = sigma^{-1}_a(a) a bijection.
 verify_solution runs both characterizations and reports each flag, so the
 two routes cross-check each other on every call.
+
+solution_from_table checks the axioms on tables from outside the library
+(CLI files, direct calls). Tables the library builds are solutions by a
+theorem and become Solutions directly; tests/test_construct.py,
+test_retract.py and test_classify.py verify them (the docstrings of
+build_c, retract and exhaustive_enumerate name the tests).
 """
 
 import json
@@ -24,7 +30,10 @@ from .perm import Perm, inverse, is_perm
 
 @dataclass(frozen=True)
 class Solution:
-    """Immutable validated solution; sigma[x][y] = sigma_x(y), tau[y][x] = tau_y(x)."""
+    """Immutable solution; sigma[x][y] = sigma_x(y), tau[y][x] = tau_y(x).
+
+    Outside tables go through solution_from_table, which checks the axioms.
+    """
 
     n: int
     sigma: tuple[Perm, ...]
@@ -146,6 +155,16 @@ def _involutive_ok(rows, tau) -> bool:
     return True
 
 
+def _report(rows, tau) -> VerifyReport:
+    # both routes on bijective rows with their derived tau
+    cycle_ok, cycle_wit = check_cycle_condition(rows)
+    diag = tuple(inverse(row)[a] for a, row in enumerate(rows))
+    braid_wit = _braid_witness(rows, tau)
+    involutive = _involutive_ok(rows, tau)
+    first = braid_wit if braid_wit is not None else cycle_wit
+    return VerifyReport(True, cycle_ok, is_perm(diag), braid_wit is None, involutive, first)
+
+
 def verify_solution(s) -> VerifyReport:
     """Run both verification routes on a raw table (or Solution).
 
@@ -157,18 +176,11 @@ def verify_solution(s) -> VerifyReport:
     rows = _rows(s)
     if not all(is_perm(row) for row in rows):
         return VerifyReport(False, False, False, False, False, None)
-    cycle_ok, cycle_wit = check_cycle_condition(rows)
-    diag = tuple(inverse(row)[a] for a, row in enumerate(rows))
-    nd = is_perm(diag)
-    tau = tau_from_sigma(rows)
-    braid_wit = _braid_witness(rows, tau)
-    involutive = _involutive_ok(rows, tau)
-    first = braid_wit if braid_wit is not None else cycle_wit
-    return VerifyReport(True, cycle_ok, nd, braid_wit is None, involutive, first)
+    return _report(rows, tau_from_sigma(rows))
 
 
 def solution_from_table(n: int, sigma) -> Solution:
-    """Validate a sigma table and build the Solution (tau derived, cached).
+    """Validate a sigma table by both routes and build the Solution.
 
     Raises NotBijectiveRow for the first non-bijective row, AxiomViolation
     with the full report when any axiom fails.
@@ -181,10 +193,11 @@ def solution_from_table(n: int, sigma) -> Solution:
     for x, row in enumerate(rows):
         if not is_perm(row):
             raise NotBijectiveRow(x)
-    report = verify_solution(rows)
+    tau = tau_from_sigma(rows)
+    report = _report(rows, tau)
     if not report.ok:
         raise AxiomViolation(report)
-    return Solution(n, rows, tau_from_sigma(rows))
+    return Solution(n, rows, tau)
 
 
 def solution_to_json(s: Solution) -> str:
@@ -195,9 +208,21 @@ def solution_to_json(s: Solution) -> str:
     )
 
 
-def solution_from_json(text: str) -> Solution:
-    """Parse and fully validate the JSON form produced by solution_to_json."""
+def table_from_json(text: str) -> tuple[int, list]:
+    """Parse solution JSON into (n, sigma): an int "n" and n row lists.
+
+    Raises ValueError; the entries are checked by whoever takes the table.
+    """
     data = json.loads(text)
     if not isinstance(data, dict) or "n" not in data or "sigma" not in data:
         raise ValueError('expected an object with "n" and "sigma"')
-    return solution_from_table(data["n"], data["sigma"])
+    n, sigma = data["n"], data["sigma"]
+    rows_ok = isinstance(sigma, list) and all(isinstance(row, list) for row in sigma)
+    if not isinstance(n, int) or not rows_ok or len(sigma) != n:
+        raise ValueError("sigma must be an n x n table")
+    return n, sigma
+
+
+def solution_from_json(text: str) -> Solution:
+    """Parse and fully validate the JSON form produced by solution_to_json."""
+    return solution_from_table(*table_from_json(text))

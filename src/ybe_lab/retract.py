@@ -2,8 +2,8 @@
 
 from dataclasses import dataclass
 
-from .core import Solution, solution_from_table
-from .errors import CarrierTooSmall, InternalError
+from .core import Solution, tau_from_sigma
+from .errors import CarrierTooSmall
 
 
 @dataclass(frozen=True)
@@ -18,29 +18,21 @@ def retract(s: Solution) -> RetractionResult:
     """Collapse points with identical sigma rows.
 
     Classes are numbered by first occurrence, so the projection is
-    deterministic. Well-definedness of the quotient operation is a
-    theorem; it is still checked cell by cell, and a violation raises
-    InternalError.
+    deterministic. The quotient is read off the first point of each
+    class: that equal rows give equal quotient rows, and that the quotient
+    is a solution, are theorems (Etingof-Schedler-Soloviev), so neither is
+    checked here; test_retract_is_well_defined checks both.
     """
     class_of: dict = {}
+    reps = []
     proj = []
-    for row in s.sigma:
+    for x, row in enumerate(s.sigma):
         if row not in class_of:
-            class_of[row] = len(class_of)
+            class_of[row] = len(reps)
+            reps.append(x)
         proj.append(class_of[row])
-    m = len(class_of)
-    qrows = [[-1] * m for _ in range(m)]
-    for x in range(s.n):
-        qx = qrows[proj[x]]
-        row = s.sigma[x]
-        for y in range(s.n):
-            cz = proj[row[y]]
-            cy = proj[y]
-            if qx[cy] == -1:
-                qx[cy] = cz
-            elif qx[cy] != cz:
-                raise InternalError("retraction is not well defined")
-    return RetractionResult(solution_from_table(m, qrows), tuple(proj))
+    qrows = tuple(tuple(proj[s.sigma[x][y]] for y in reps) for x in reps)
+    return RetractionResult(Solution(len(reps), qrows, tau_from_sigma(qrows)), tuple(proj))
 
 
 def mpl(s: Solution) -> int | None:
@@ -57,8 +49,6 @@ def mpl(s: Solution) -> int | None:
             return None
         cur = nxt
         level += 1
-        if level > s.n:
-            raise InternalError("retraction failed to terminate")
     return level
 
 

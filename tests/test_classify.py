@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import relabel
+from helpers import oracle_is_solution, relabel
 from ybe_lab.classify import (
     are_isomorphic,
     count_cyclic,
@@ -176,12 +176,14 @@ def test_exhaustive_enumerate_unfiltered_counts():
 
 
 def test_exhaustive_enumerate_reps_are_solutions_and_distinct():
-    reps = exhaustive_enumerate(4)
-    for s in reps:
-        assert verify_solution(s).ok
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            assert are_isomorphic(reps[i], reps[j]) is None
+    for n in (1, 2, 3, 4):
+        reps = exhaustive_enumerate(n)
+        for s in reps:
+            assert verify_solution(s).ok
+            assert oracle_is_solution([list(r) for r in s.sigma])
+        for i in range(len(reps)):
+            for j in range(i + 1, len(reps)):
+                assert are_isomorphic(reps[i], reps[j]) is None
 
 
 def test_exhaustive_enumerate_filters():

@@ -69,6 +69,40 @@ def test_verify_malformed_json(capsys, tmp_path):
     assert "error" in err
 
 
+MALFORMED = {
+    "truncated": '{"n":2,"sigma":[[1,0],[1',
+    "not-an-object": "[[1,0],[1,0]]",
+    "missing-key": '{"n":2}',
+    "n-mismatch": '{"n":3,"sigma":[[1,0],[1,0]]}',
+    "not-square": '{"n":2,"sigma":[[1,0],[0]]}',
+    "non-int-entry": '{"n":2,"sigma":[[1,"0"],[1,0]]}',
+    "empty-table": '{"n":0,"sigma":[]}',
+    "row-not-a-list": '{"n":2,"sigma":[1,0]}',
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
+@pytest.mark.parametrize("command", ["verify", "classify", "aut", "iso"])
+def test_malformed_input_is_a_usage_error(capsys, tmp_path, command, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    files = [str(path)]
+    if command == "iso":
+        files.insert(0, write_solution(tmp_path, "good.json", build_c((1, 4, 2))))
+    code, out, err = invoke(capsys, command, *files)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")  # the clean usage-error path, no traceback
+
+
+def test_classify_non_bijective_row(capsys, tmp_path):
+    path = tmp_path / "nonbij.json"
+    path.write_text('{"n":2,"sigma":[[1,0],[1,1]]}', encoding="utf-8")
+    code, out, _ = invoke(capsys, "classify", str(path))
+    assert code == 1
+    assert out == '{"error":"NotBijectiveRow","detail":"row 1 is not a bijection"}\n'
+
+
 def test_verify_missing_file(capsys):
     code, _, err = invoke(capsys, "verify", "/no/such/file.json")
     assert code == 2

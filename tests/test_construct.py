@@ -1,6 +1,10 @@
+import itertools
+import random
+
 import pytest
 
-from helpers import oracle_is_solution
+from helpers import oracle_is_solution, random_solution_tables
+from ybe_lab.classify import enumerate_family
 from ybe_lab.construct import (
     CParams,
     build_c,
@@ -22,6 +26,13 @@ from ybe_lab.perm import group_closure, is_abelian, is_regular, is_transitive
 from ybe_lab.retract import is_2_reductive, is_mpl_at_most_2, mpl
 
 LEVEL3 = [[0, 1, 2, 3], [0, 1, 2, 3], [0, 1, 3, 2], [1, 0, 3, 2]]
+
+
+def assert_solution(s):
+    """Both verification routes, the independent oracle, and the cached tau."""
+    assert verify_solution(s).ok
+    assert oracle_is_solution([list(r) for r in s.sigma])
+    assert s.tau == tau_from_sigma(s.sigma)
 
 
 def test_c_params_valid():
@@ -111,10 +122,21 @@ def test_delta_determines_the_row():
 
 def test_build_c_members_are_solutions():
     for p in ((1, 6, 0), (2, 4, 0), (1, 8, 4), (2, 8, 2), (3, 3, 0), (1, 9, 3)):
-        s = build_c(p)
-        assert verify_solution(s).ok
-        assert oracle_is_solution([list(r) for r in s.sigma])
-        assert s.tau == tau_from_sigma(s.sigma)
+        assert_solution(build_c(p))
+
+
+def test_build_c_tau_matches_closed_form():
+    # tau_{(b,j)}((a,i)) = (a + b*r - (j+1), i - (j+1)*r + b*r^2 - 1)
+    for n in range(1, 25):
+        for n1, n2, r in enumerate_family(n):
+            tau = build_c((n1, n2, r)).tau
+            for b in range(n1):
+                for j in range(n2):
+                    for a in range(n1):
+                        for i in range(n2):
+                            aa = (a + b * r - (j + 1)) % n1
+                            ii = (i - (j + 1) * r + b * r * r - 1) % n2
+                            assert tau[b * n2 + j][a * n2 + i] == aa * n2 + ii
 
 
 def test_build_c_group_structure():
@@ -181,21 +203,41 @@ def test_isotopes_are_mutually_inverse():
         s = build_c(p)
         for e in range(s.n):
             red = inverse_isotope(s, e)
+            assert_solution(red)
             assert is_2_reductive(red)
             back = pi_isotope(red, s.sigma[e])
+            assert_solution(back)
             assert back.sigma == s.sigma
 
 
 def test_pi_isotope_output_has_level_at_most_2():
+    cases = []
     for p in ((1, 4, 2), (2, 4, 0)):
         s = build_c(p)
-        red = inverse_isotope(s, 0)
-        assert is_mpl_at_most_2(pi_isotope(red, s.sigma[0]))
+        cases.append((inverse_isotope(s, 0), s.sigma[0]))
+    # every twist that passes the compatibility check on fuzzed 3-point bases
+    rng = random.Random(7)
+    for table in random_solution_tables(rng, 3, 40):
+        base = solution_from_table(3, table)
+        if is_2_reductive(base):
+            cases += [(base, pi) for pi in itertools.permutations(range(3))]
+    checked = 0
+    for base, pi in cases:
+        try:
+            s = pi_isotope(base, pi)
+        except ConditionFailed:
+            continue
+        assert_solution(s)
+        assert is_mpl_at_most_2(s)
+        checked += 1
+    assert checked > 2
 
 
 def test_nonabelian_example_small_cases():
     assert build_nonabelian_example(1).sigma == ((1, 0), (1, 0))
+    assert_solution(build_nonabelian_example(1))
     s2 = build_nonabelian_example(2)
+    assert_solution(s2)
     g2 = group_closure(sorted(set(s2.sigma)))
     assert is_abelian(g2)
     with pytest.raises(ValueError):
@@ -206,8 +248,7 @@ def test_nonabelian_example_structure():
     for n in (3, 4, 5):
         s = build_nonabelian_example(n)
         assert s.n == 2 * n
-        assert verify_solution(s).ok
-        assert oracle_is_solution([list(r) for r in s.sigma])
+        assert_solution(s)
         g = group_closure(sorted(set(s.sigma)))
         assert is_transitive(g)
         assert is_regular(g)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -115,6 +116,19 @@ def test_both_verification_routes_agree():
         route_one = report.braid and report.involutive
         route_two = report.cycle_condition and report.non_degenerate
         assert route_one == route_two
+
+
+def test_cycle_condition_implies_both_routes():
+    # a finite cycle set is non-degenerate (Rump), so on every bijective
+    # 3-point table the cycle condition alone gives a solution
+    tables = list(itertools.product(itertools.permutations(range(3)), repeat=3))
+    assert len(tables) == 216
+    cycle_sets = [t for t in tables if check_cycle_condition(t)[0]]
+    for table in cycle_sets:
+        assert sorted(t_map(table)) == [0, 1, 2]
+        report = verify_solution(table)
+        assert report.braid and report.involutive
+    assert len(cycle_sets) == sum(oracle_is_solution([list(r) for r in t]) for t in tables)
 
 
 def test_solution_from_table():

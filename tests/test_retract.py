@@ -1,9 +1,11 @@
 import pytest
 
-from helpers import random_solution_tables
+from helpers import oracle_is_solution, random_solution_tables
 import random
 
-from ybe_lab.construct import build_c
+from ybe_lab.classify import enumerate_family
+from ybe_lab.construct import build_c, build_nonabelian_example
+from ybe_lab.core import verify_solution
 from ybe_lab.core import solution_from_table
 from ybe_lab.errors import CarrierTooSmall
 from ybe_lab.classify import exhaustive_enumerate
@@ -33,6 +35,32 @@ def test_retract_of_rigid_table_is_itself():
     res = retract(s)
     assert res.quotient.n == 4
     assert res.projection == (0, 1, 2, 3)
+
+
+def test_retract_is_well_defined():
+    # equal rows map to equal quotient rows, cell by cell, down the whole
+    # retraction tower; every quotient is a solution
+    rng = random.Random(8)
+    pool = [build_c(p) for n in range(1, 25) for p in enumerate_family(n)]
+    pool += [build_nonabelian_example(m) for m in (1, 2, 3, 4)]
+    pool += [solution_from_table(3, t) for t in random_solution_tables(rng, 3, 60)]
+    pool += [solution_from_table(4, t) for t in (LEVEL3, STALLED)]
+    for s in pool:
+        while True:
+            res = retract(s)
+            q, proj = res.quotient, res.projection
+            assert sorted(set(proj)) == list(range(q.n))
+            first = [proj.index(c) for c in range(q.n)]
+            assert first == sorted(first)  # classes numbered by first occurrence
+            for x in range(s.n):
+                for y in range(s.n):
+                    assert (proj[x] == proj[y]) == (s.sigma[x] == s.sigma[y])
+                    assert q.sigma[proj[x]][proj[y]] == proj[s.sigma[x][y]]
+            assert verify_solution(q).ok
+            assert oracle_is_solution([list(r) for r in q.sigma])
+            if q.n == s.n:
+                break
+            s = q
 
 
 def test_mpl_values():
