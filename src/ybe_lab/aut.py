@@ -1,16 +1,40 @@
 """Automorphism groups, the family closed form, and the cyclicity test."""
 
-from .classify import _iso_search
+from .classify import explicit_iso_to_c, iso_search
 from .construct import c_params_valid
 from .core import Solution
-from .errors import InvalidParams
-from .perm import Perm, PermGroup, group_closure
+from .errors import (
+    InvalidParams,
+    NotAbelian,
+    NotIndecomposable,
+    NotMplAtMost2,
+    SizeLimitExceeded,
+)
+from .perm import Perm, PermGroup, compose, group_closure, inverse
 
 
 def automorphism_group(s: Solution) -> PermGroup:
-    """All self-isomorphisms of s, as a concrete permutation group."""
-    elements = _iso_search(s.sigma, s.sigma, find_all=True)
-    return group_closure(elements)
+    """All self-isomorphisms of s, as a concrete permutation group.
+
+    An eligible s (indecomposable, abelian, level <= 2) is isomorphic to a
+    family member by the certificate phi of explicit_iso_to_c, so its
+    group is phi . Aut(member) . phi^{-1}, read off aut_c_closed_form: it
+    is regular, and its generators are all its elements, ordered by the
+    image of 0 as the search finds them. Other input falls back to the
+    search. test_automorphism_group_equals_search checks both paths
+    against the search.
+    """
+    try:
+        p, phi = explicit_iso_to_c(s)
+    except (NotIndecomposable, NotAbelian, NotMplAtMost2, SizeLimitExceeded):
+        return group_closure(iso_search(s.sigma, s.sigma, find_all=True))
+    phi_inv = inverse(phi)
+    elements = tuple(sorted(
+        compose(phi, compose(aut_c_closed_form(p, a, i), phi_inv))
+        for a in range(p.n1)
+        for i in range(p.n2)
+    ))
+    return PermGroup(s.n, elements, elements, (tuple(range(s.n)),))
 
 
 def aut_c_closed_form(p, s: int, t: int) -> Perm:

@@ -74,7 +74,7 @@ def _full_check(sig1, sig2, phi) -> bool:
     )
 
 
-def _iso_search(sig1, sig2, find_all: bool) -> list[Perm]:
+def iso_search(sig1, sig2, find_all: bool) -> list[Perm]:
     """Backtracking search for structure-preserving bijections.
 
     Anchors phi(0) on every order-compatible target, then propagates the
@@ -160,7 +160,7 @@ def are_isomorphic(s1: Solution, s2: Solution) -> Perm | None:
         return None
     if _invariants(s1) != _invariants(s2):
         return None
-    found = _iso_search(s1.sigma, s2.sigma, find_all=False)
+    found = iso_search(s1.sigma, s2.sigma, find_all=False)
     return found[0] if found else None
 
 
@@ -238,20 +238,21 @@ def count_cyclic(n: int) -> int:
 
 
 def enumerate_family(n: int) -> list[CParams]:
-    """All valid triples with n1*n2 = n, lexicographically ordered."""
+    """All valid triples with n1*n2 = n, lexicographically ordered.
+
+    With t = n / square_part(n), the valid r for (n1, n2) are exactly the
+    multiples of t/n1 below n2/n1 (n1^2 divides n, so n1 divides t);
+    test_enumerate_family_matches_brute_force checks this up to 2000.
+    """
     if n < 1:
         raise ValueError("n must be positive")
+    t = n // square_part(n)
     out = []
     for n1 in divisors(n):
         n2 = n // n1
         if n2 % n1:
             continue
-        q = n2 // n1
-        # valid r are exactly the multiples of l/n1 where l = n / square_part(n);
-        # scanning the q candidates directly is already cheap enough
-        for r in range(q):
-            if (n1 * r * r) % n2 == 0:
-                out.append(CParams(n1, n2, r))
+        out.extend(CParams(n1, n2, r) for r in range(0, n2 // n1, t // n1))
     return out
 
 
@@ -323,7 +324,7 @@ def exhaustive_enumerate(
     def record(sol: Solution) -> None:
         key = _invariants(sol)
         for i, rep in enumerate(reps):
-            if rep_keys[i] == key and _iso_search(rep.sigma, sol.sigma, find_all=False):
+            if rep_keys[i] == key and iso_search(rep.sigma, sol.sigma, find_all=False):
                 return
         reps.append(sol)
         rep_keys.append(key)

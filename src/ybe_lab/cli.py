@@ -28,8 +28,8 @@ from .core import (
     table_from_json,
     verify_solution,
 )
-from .errors import YbeError
-from .perm import invariant_factors, is_abelian, is_cyclic
+from .errors import NotAbelian, YbeError
+from .perm import invariant_factors, is_cyclic
 
 FILTER_NAMES = {"indecomposable", "abelian", "mpl2"}
 
@@ -103,11 +103,15 @@ def cmd_iso(args) -> int:
 def cmd_aut(args) -> int:
     sol = _load_solution(args.file)
     g = automorphism_group(sol)
-    abelian = is_abelian(g)
+    try:
+        # invariant_factors runs the abelianness test itself; it costs O(n^3)
+        factors = list(invariant_factors(g))
+    except NotAbelian:
+        factors = None
     out = {
         "order": len(g.elements),
-        "abelian": abelian,
-        "invariant_factors": list(invariant_factors(g)) if abelian else None,
+        "abelian": factors is not None,
+        "invariant_factors": factors,
         "cyclic": is_cyclic(g),
     }
     if args.elements:

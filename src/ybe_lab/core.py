@@ -10,12 +10,16 @@ Equivalently, sigma satisfies the cycle condition
 
     sigma^{-1}_{sigma^{-1}_a(b)} sigma^{-1}_a = sigma^{-1}_{sigma^{-1}_b(a)} sigma^{-1}_b
 
-for all a, b, with the diagonal map T(a) = sigma^{-1}_a(a) a bijection.
-verify_solution runs both characterizations and reports each flag, so the
-two routes cross-check each other on every call.
+for all a, b, with the diagonal map T(a) = sigma^{-1}_a(a) a bijection
+(Etingof-Schedler-Soloviev, Duke Math. J. 100, 1999; Rump, Adv. Math.
+193, 2005). verify_solution runs both characterizations and reports each
+flag, so the two routes cross-check each other on every call.
 
 solution_from_table checks the axioms on tables from outside the library
-(CLI files, direct calls). Tables the library builds are solutions by a
+(CLI files, direct calls). It accepts through the cycle route alone,
+which is O(n^2) compositions of rows, and builds the full two-route
+report only to reject; test_solution_from_table_agrees_with_verify checks
+that both decide alike. Tables the library builds are solutions by a
 theorem and become Solutions directly; tests/test_construct.py,
 test_retract.py and test_classify.py verify them (the docstrings of
 build_c, retract and exhaustive_enumerate name the tests).
@@ -23,6 +27,7 @@ build_c, retract and exhaustive_enumerate name the tests).
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import AxiomViolation, NotBijectiveRow, NotNonDegenerate
 from .perm import Perm, inverse, is_perm
@@ -102,24 +107,30 @@ def check_cycle_condition(s) -> tuple[bool, tuple[int, int, int] | None]:
     rows = _rows(s)
     n = len(rows)
     inv = [inverse(row) for row in rows]
-    for a in range(n):
-        qa = inv[a]
-        for b in range(n):
-            if a == b:
-                continue
-            qb = inv[b]
-            qu = inv[qa[b]]
-            qv = inv[qb[a]]
-            for c in range(n):
-                if qu[qa[c]] != qv[qb[c]]:
-                    return False, (a, b, c)
+    # after[a](q) = q . sigma^{-1}_a as a tuple
+    after = [itemgetter(*qa) for qa in inv]
+    # The condition at (a, b, c) is the condition at (b, a, c) with its
+    # sides swapped, and a failure with a > b is also one at the smaller
+    # triple (b, a, c), so scanning a < b finds the same first witness.
+    for a in range(n - 1):
+        qa, after_a = inv[a], after[a]
+        for b in range(a + 1, n):
+            lhs = after_a(inv[qa[b]])
+            rhs = after[b](inv[inv[b][a]])
+            if lhs != rhs:
+                c = next(c for c in range(n) if lhs[c] != rhs[c])
+                return False, (a, b, c)
     return True, None
+
+
+def _diagonal(rows) -> Perm:
+    # T(a) = sigma^{-1}_a(a), not checked for bijectivity
+    return tuple(inverse(row)[a] for a, row in enumerate(rows))
 
 
 def t_map(s) -> Perm:
     """Diagonal map T(a) = sigma^{-1}_a(a); raises NotNonDegenerate if not bijective."""
-    rows = _rows(s)
-    img = tuple(inverse(row)[a] for a, row in enumerate(rows))
+    img = _diagonal(_rows(s))
     if not is_perm(img):
         raise NotNonDegenerate("diagonal map is not a bijection")
     return img
@@ -158,11 +169,12 @@ def _involutive_ok(rows, tau) -> bool:
 def _report(rows, tau) -> VerifyReport:
     # both routes on bijective rows with their derived tau
     cycle_ok, cycle_wit = check_cycle_condition(rows)
-    diag = tuple(inverse(row)[a] for a, row in enumerate(rows))
     braid_wit = _braid_witness(rows, tau)
     involutive = _involutive_ok(rows, tau)
     first = braid_wit if braid_wit is not None else cycle_wit
-    return VerifyReport(True, cycle_ok, is_perm(diag), braid_wit is None, involutive, first)
+    return VerifyReport(
+        True, cycle_ok, is_perm(_diagonal(rows)), braid_wit is None, involutive, first
+    )
 
 
 def verify_solution(s) -> VerifyReport:
@@ -180,10 +192,13 @@ def verify_solution(s) -> VerifyReport:
 
 
 def solution_from_table(n: int, sigma) -> Solution:
-    """Validate a sigma table by both routes and build the Solution.
+    """Validate a sigma table and build the Solution.
 
-    Raises NotBijectiveRow for the first non-bijective row, AxiomViolation
-    with the full report when any axiom fails.
+    Accepts when the rows are bijective, the cycle condition holds and the
+    diagonal map T is a bijection, which for the derived tau is equivalent
+    to the braid relation plus involutivity. Raises NotBijectiveRow for
+    the first non-bijective row, and AxiomViolation carrying the full
+    two-route report of verify_solution when any axiom fails.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("carrier size must be a positive integer")
@@ -194,9 +209,8 @@ def solution_from_table(n: int, sigma) -> Solution:
         if not is_perm(row):
             raise NotBijectiveRow(x)
     tau = tau_from_sigma(rows)
-    report = _report(rows, tau)
-    if not report.ok:
-        raise AxiomViolation(report)
+    if not (check_cycle_condition(rows)[0] and is_perm(_diagonal(rows))):
+        raise AxiomViolation(_report(rows, tau))
     return Solution(n, rows, tau)
 
 

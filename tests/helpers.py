@@ -7,6 +7,11 @@ not against themselves.
 
 import random
 
+# frozen 4-point fixtures found by the exhaustive search: one of level 3,
+# one whose retraction stalls (not a multipermutation solution)
+LEVEL3 = [[0, 1, 2, 3], [0, 1, 2, 3], [0, 1, 3, 2], [1, 0, 3, 2]]
+STALLED = [[0, 1, 3, 2], [2, 3, 1, 0], [3, 2, 0, 1], [1, 0, 2, 3]]
+
 
 def oracle_is_solution(table) -> bool:
     """Accept iff the table is an involutive non-degenerate solution.
@@ -71,6 +76,15 @@ def relabel(sigma, g):
     for i, v in enumerate(g):
         ginv[v] = i
     return [[g[sigma[ginv[x]][ginv[y]]] for y in range(n)] for x in range(n)]
+
+
+def swap_corrupted(rng: random.Random, table):
+    """Copy of the table with two entries of one row swapped; rows stay bijective."""
+    bad = [list(row) for row in table]
+    x = rng.randrange(len(bad))
+    j, k = rng.sample(range(len(bad)), 2)
+    bad[x][j], bad[x][k] = bad[x][k], bad[x][j]
+    return bad
 
 
 def aut_by_filtering(sigma):

@@ -5,6 +5,7 @@ pytest -s, and on any failure) and asserts both exact values and a wall
 clock budget.
 """
 
+import json
 import random
 import time
 from contextlib import contextmanager
@@ -12,6 +13,7 @@ from contextlib import contextmanager
 import pytest
 
 from helpers import relabel
+from ybe_lab import cli
 from ybe_lab.aut import aut_c_closed_form, automorphism_group, is_aut_cyclic_c1nr
 from ybe_lab.classify import (
     are_isomorphic,
@@ -240,3 +242,18 @@ def test_criterion_11_nonabelian_witness():
         assert mpl(s) == 2
         with pytest.raises(NotAbelian):
             recover_params(s)
+
+
+def test_criterion_12_classify_a_256_point_file(tmp_path, capsys):
+    member = build_c((2, 128, 8))
+    g = list(range(member.n))
+    random.Random(20261017).shuffle(g)
+    table = relabel(member.sigma, g)
+    path = tmp_path / "member.json"
+    path.write_text(json.dumps({"n": member.n, "sigma": table}))
+    inst = solution_from_table(member.n, table)
+    with criterion("12 CLI classify of a 256 point file", 1.0):
+        assert cli.run(["classify", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["n1"], out["n2"], out["r"]) == (2, 128, 8)
+        assert certificate_ok(out["phi"], member, inst)

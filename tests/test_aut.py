@@ -1,15 +1,31 @@
+import random
+
 import pytest
 
-from helpers import aut_by_filtering
+from helpers import LEVEL3, STALLED, aut_by_filtering, relabel
 from ybe_lab.aut import aut_c_closed_form, automorphism_group, is_aut_cyclic_c1nr
+from ybe_lab.classify import enumerate_family, explicit_iso_to_c, iso_search
 from ybe_lab.construct import CParams, build_c, build_nonabelian_example
-from ybe_lab.errors import InvalidParams
+from ybe_lab.core import solution_from_table
+from ybe_lab.errors import (
+    InvalidParams,
+    NotAbelian,
+    NotIndecomposable,
+    SizeLimitExceeded,
+)
 from ybe_lab.perm import (
+    MAX_CLOSURE_ENV,
+    group_closure,
     invariant_factors,
     is_abelian,
     is_cyclic,
     is_regular,
 )
+
+
+def searched_group(s):
+    """The automorphism group found by the backtracking search."""
+    return group_closure(iso_search(s.sigma, s.sigma, find_all=True))
 
 
 def test_automorphism_group_twist4():
@@ -41,6 +57,47 @@ def test_automorphism_group_of_witness():
     assert is_abelian(g) and is_cyclic(g)
     assert invariant_factors(g) == (6,)
     assert sorted(g.elements) == sorted(aut_by_filtering(s.sigma))
+
+
+def test_automorphism_group_equals_search():
+    # eligible input takes the closed form through the certificate; the
+    # result must be the search's group, generators and orbits included
+    rng = random.Random(20261017)
+    for n in range(1, 41):
+        for p in enumerate_family(n):
+            g = list(range(n))
+            rng.shuffle(g)
+            s = solution_from_table(n, relabel(build_c(p).sigma, g))
+            assert automorphism_group(s) == searched_group(s)
+
+
+def test_automorphism_group_falls_back_to_search():
+    cases = {
+        NotAbelian: [build_nonabelian_example(3), solution_from_table(4, STALLED)],
+        NotIndecomposable: [
+            solution_from_table(4, LEVEL3),
+            solution_from_table(3, [[0, 1, 2]] * 3),
+        ],
+    }
+    for error, sols in cases.items():
+        for s in sols:
+            with pytest.raises(error):
+                explicit_iso_to_c(s)
+            g = automorphism_group(s)
+            assert g == searched_group(s)
+            assert sorted(g.elements) == sorted(aut_by_filtering(s.sigma))
+
+
+def test_automorphism_group_falls_back_past_the_closure_bound(monkeypatch):
+    # the permutation group of STALLED has 8 elements, its automorphism
+    # group 2: a bound of 4 stops parameter recovery, not the search
+    s = solution_from_table(4, STALLED)
+    monkeypatch.setenv(MAX_CLOSURE_ENV, "4")
+    with pytest.raises(SizeLimitExceeded):
+        explicit_iso_to_c(s)
+    g = automorphism_group(s)
+    assert g == searched_group(s)
+    assert len(g.elements) == 2
 
 
 def test_closed_form_point():

@@ -165,6 +165,19 @@ def test_enumerate_family_entries_are_valid_and_counted():
         assert cyclic == count_cyclic(n)
 
 
+def test_enumerate_family_matches_brute_force():
+    # the closed form for r against a scan of every candidate triple
+    for n in range(1, 2001):
+        scanned = [
+            CParams(n1, n // n1, r)
+            for n1 in range(1, n + 1)
+            if n % n1 == 0
+            for r in range(n // (n1 * n1))
+            if c_params_valid(n1, n // n1, r)
+        ]
+        assert enumerate_family(n) == scanned
+
+
 def test_exhaustive_enumerate_unfiltered_counts():
     assert len(exhaustive_enumerate(1)) == 1
     assert [s.sigma for s in exhaustive_enumerate(2)] == [

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import oracle_is_solution, random_solution_tables
+from helpers import LEVEL3, oracle_is_solution, random_solution_tables
 from ybe_lab.classify import enumerate_family
 from ybe_lab.construct import (
     CParams,
@@ -24,8 +24,6 @@ from ybe_lab.errors import (
 )
 from ybe_lab.perm import group_closure, is_abelian, is_regular, is_transitive
 from ybe_lab.retract import is_2_reductive, is_mpl_at_most_2, mpl
-
-LEVEL3 = [[0, 1, 2, 3], [0, 1, 2, 3], [0, 1, 3, 2], [1, 0, 3, 2]]
 
 
 def assert_solution(s):

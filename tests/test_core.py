@@ -4,7 +4,17 @@ import random
 
 import pytest
 
-from helpers import oracle_cycle_witness, oracle_is_solution, random_bijective_table
+from helpers import (
+    LEVEL3,
+    STALLED,
+    oracle_cycle_witness,
+    oracle_is_solution,
+    random_bijective_table,
+    relabel,
+    swap_corrupted,
+)
+from ybe_lab.classify import enumerate_family
+from ybe_lab.construct import build_c, build_nonabelian_example
 from ybe_lab.core import (
     Solution,
     check_cycle_condition,
@@ -26,6 +36,20 @@ from ybe_lab.perm import inverse
 # and the one with a rank-two permutation group
 TWIST4 = [(1, 2, 3, 0), (3, 0, 1, 2), (1, 2, 3, 0), (3, 0, 1, 2)]
 RANK2 = [(1, 0, 3, 2), (3, 2, 1, 0), (1, 0, 3, 2), (3, 2, 1, 0)]
+
+
+def corrupted_members(rng, limit, copies):
+    """A relabeled copy of each member up to `limit` points, plus `copies`
+    swap-corrupted versions of it (most fail the axioms, deep in the table)."""
+    out = []
+    for n in range(2, limit + 1):
+        for p in enumerate_family(n):
+            g = list(range(n))
+            rng.shuffle(g)
+            table = relabel(build_c(p).sigma, g)
+            out.append(table)
+            out.extend(swap_corrupted(rng, table) for _ in range(copies))
+    return out
 
 
 def test_tau_is_the_involutive_partner():
@@ -53,6 +77,30 @@ def test_cycle_condition_witness():
     assert not ok
     assert witness == (0, 1, 0)
     assert oracle_cycle_witness([[1, 0, 2], [0, 1, 2], [0, 1, 2]]) == (0, 1, 0)
+
+
+def test_cycle_witness_matches_brute_force():
+    # the scan covers a < b only; its witness must still be the first
+    # failing triple over all ordered (a, b, c)
+    rng = random.Random(20261017)
+    tables = [random_bijective_table(rng, n) for n in (4, 5, 6) for _ in range(200)]
+    # rows that all fix 0, with sigma_0 the identity, pass every pair
+    # (0, b), so these witnesses lie past the first row
+    for n in (4, 5, 6):
+        for _ in range(200):
+            rest = random_bijective_table(rng, n - 1)
+            rows = [[0] + [v + 1 for v in row] for row in rest]
+            tables.append([list(range(n))] + rows)
+    tables += corrupted_members(rng, 24, 3)
+    tables += [LEVEL3, STALLED]
+    firsts = set()
+    for table in tables:
+        ok, witness = check_cycle_condition(table)
+        assert witness == oracle_cycle_witness(table)
+        assert ok == (witness is None)
+        if witness is not None:
+            firsts.add(witness[0])
+    assert firsts >= {0, 1, 2}
 
 
 def test_t_map_values():
@@ -129,6 +177,32 @@ def test_cycle_condition_implies_both_routes():
         report = verify_solution(table)
         assert report.braid and report.involutive
     assert len(cycle_sets) == sum(oracle_is_solution([list(r) for r in t]) for t in tables)
+
+
+def test_solution_from_table_agrees_with_verify():
+    # solution_from_table accepts through the cycle route alone; it must
+    # decide exactly as the two-route report and carry it on rejection
+    tables = [
+        [list(row) for row in t]
+        for t in itertools.product(itertools.permutations(range(3)), repeat=3)
+    ]
+    assert len(tables) == 216
+    tables += corrupted_members(random.Random(7), 24, 2)
+    tables += [LEVEL3, STALLED, build_nonabelian_example(3).sigma]
+    accepted = rejected = 0
+    for table in tables:
+        report = verify_solution(table)
+        try:
+            s = solution_from_table(len(table), table)
+        except AxiomViolation as exc:
+            assert not report.ok
+            assert exc.report == report
+            rejected += 1
+        else:
+            assert report.ok
+            assert s.sigma == tuple(tuple(row) for row in table)
+            accepted += 1
+    assert accepted > 50 and rejected > 200
 
 
 def test_solution_from_table():

@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import oracle_is_solution, random_solution_tables
+from helpers import LEVEL3, STALLED, oracle_is_solution, random_solution_tables
 import random
 
 from ybe_lab.classify import enumerate_family
@@ -10,11 +10,6 @@ from ybe_lab.core import solution_from_table
 from ybe_lab.errors import CarrierTooSmall
 from ybe_lab.classify import exhaustive_enumerate
 from ybe_lab.retract import is_2_reductive, is_mpl_at_most_2, mpl, retract
-
-# frozen 4-point fixtures found by the exhaustive search: one of level 3,
-# one whose retraction stalls (not a multipermutation solution)
-LEVEL3 = [[0, 1, 2, 3], [0, 1, 2, 3], [0, 1, 3, 2], [1, 0, 3, 2]]
-STALLED = [[0, 1, 3, 2], [2, 3, 1, 0], [3, 2, 0, 1], [1, 0, 2, 3]]
 
 
 def test_retract_collapses_equal_rows():
