@@ -3,13 +3,7 @@
 from .classify import explicit_iso_to_c, iso_search
 from .construct import c_params_valid
 from .core import Solution
-from .errors import (
-    InvalidParams,
-    NotAbelian,
-    NotIndecomposable,
-    NotMplAtMost2,
-    SizeLimitExceeded,
-)
+from .errors import InvalidParams, NotAbelian, NotIndecomposable, NotMplAtMost2
 from .perm import Perm, PermGroup, compose, group_closure, inverse
 
 
@@ -26,7 +20,7 @@ def automorphism_group(s: Solution) -> PermGroup:
     """
     try:
         p, phi = explicit_iso_to_c(s)
-    except (NotIndecomposable, NotAbelian, NotMplAtMost2, SizeLimitExceeded):
+    except (NotIndecomposable, NotAbelian, NotMplAtMost2):
         return group_closure(iso_search(s.sigma, s.sigma, find_all=True))
     phi_inv = inverse(phi)
     elements = tuple(sorted(

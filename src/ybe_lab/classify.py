@@ -26,12 +26,14 @@ from .errors import (
 )
 from .perm import (
     Perm,
+    all_commute,
     compose,
     group_closure,
     inverse,
     is_abelian,
     is_transitive,
     invariant_factors,
+    orbits,
     order,
     power,
 )
@@ -172,15 +174,21 @@ def recover_params(s: Solution) -> CParams:
     errors are NotIndecomposable, NotAbelian, NotMplAtMost2. Structural
     facts that the theory guarantees are still checked and raise
     StructureViolation if violated.
+
+    No group is built: the orbits of the distinct rows give transitivity,
+    and their pairwise commutation gives abelianness, since they generate
+    the group. Each step is O(n^2) on an eligible input: a family member
+    has lcm(n1, n2/gcd(r, n2)) distinct rows, at most sqrt(n) on every
+    member up to 5000 points.
     """
-    g = _solution_group(s)
-    if not is_transitive(g):
+    rows = sorted(set(s.sigma))
+    if len(orbits(s.n, rows)) != 1:
         raise NotIndecomposable("permutation group is not transitive")
-    if not is_abelian(g):
+    if not all_commute(rows):
         raise NotAbelian("permutation group is not abelian")
     if s.n >= 2 and not is_mpl_at_most_2(s):
         raise NotMplAtMost2("multipermutation level exceeds 2")
-    row_orders = {order(row) for row in s.sigma}
+    row_orders = {order(row) for row in rows}
     if len(row_orders) != 1:
         raise StructureViolation("rows have different orders")
     n2 = row_orders.pop()
@@ -189,7 +197,13 @@ def recover_params(s: Solution) -> CParams:
         raise StructureViolation("row order does not split the carrier")
     rho = s.sigma[0]
     target = power(s.sigma[rho[0]], n1)
-    hits = [r for r in range(n2 // n1) if power(rho, (r + 1) * n1) == target]
+    step = power(rho, n1)
+    cur = step  # rho^{(r+1)*n1}
+    hits = []
+    for r in range(n2 // n1):
+        if cur == target:
+            hits.append(r)
+        cur = compose(step, cur)
     if len(hits) != 1:
         raise StructureViolation("power identity did not pin down a unique r")
     r = hits[0]

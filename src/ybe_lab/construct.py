@@ -18,7 +18,7 @@ The isotopes connect level <= 2 to 2-reductivity: composing every row of a
 
 from typing import NamedTuple
 
-from .core import Solution, tau_from_sigma
+from .core import Solution, trusted_solution
 from .errors import (
     ConditionFailed,
     InvalidParams,
@@ -75,7 +75,7 @@ def build_c(p) -> Solution:
                     row.append(base + (j + r * d + 1) % n2)
             sigma.append(tuple(row))
     sigma = tuple(sigma)
-    return Solution(n1 * n2, sigma, tau_from_sigma(sigma))
+    return trusted_solution(sigma)
 
 
 def pi_isotope(s: Solution, pi) -> Solution:
@@ -98,7 +98,7 @@ def pi_isotope(s: Solution, pi) -> Solution:
             if lhs != rhs:
                 raise ConditionFailed(x, y)
     rows = tuple(compose(s.sigma[x], pi) for x in range(s.n))
-    return Solution(s.n, rows, tau_from_sigma(rows))
+    return trusted_solution(rows)
 
 
 def inverse_isotope(s: Solution, e: int) -> Solution:
@@ -113,7 +113,7 @@ def inverse_isotope(s: Solution, e: int) -> Solution:
         raise NotMplAtMost2("solution has level greater than 2")
     inv_e = inverse(s.sigma[e])
     rows = tuple(compose(row, inv_e) for row in s.sigma)
-    return Solution(s.n, rows, tau_from_sigma(rows))
+    return trusted_solution(rows)
 
 
 def build_nonabelian_example(n: int) -> Solution:
@@ -136,4 +136,4 @@ def build_nonabelian_example(n: int) -> Solution:
                     row.append(2 * bb + (1 - j))
             rows.append(tuple(row))
     rows = tuple(rows)
-    return Solution(2 * n, rows, tau_from_sigma(rows))
+    return trusted_solution(rows)

@@ -20,9 +20,14 @@ solution_from_table checks the axioms on tables from outside the library
 which is O(n^2) compositions of rows, and builds the full two-route
 report only to reject; test_solution_from_table_agrees_with_verify checks
 that both decide alike. Tables the library builds are solutions by a
-theorem and become Solutions directly; tests/test_construct.py,
-test_retract.py and test_classify.py verify them (the docstrings of
-build_c, retract and exhaustive_enumerate name the tests).
+theorem and become Solutions through trusted_solution, which checks
+nothing; tests/test_construct.py, test_retract.py and test_classify.py
+verify them (the docstrings of build_c, retract and exhaustive_enumerate
+name the tests).
+
+Each public entry point checks the shape and entries of a raw table once
+(_rows) and then runs the private kernels (_tau, _cycle) on the checked
+rows.
 """
 
 import json
@@ -84,18 +89,30 @@ def _rows(s) -> tuple[Perm, ...]:
     return rows
 
 
+def _tau(rows) -> tuple[Perm, ...]:
+    n = len(rows)
+    inv = [inverse(row) for row in rows]
+    return tuple(
+        tuple(inv[rows[x][y]][x] for x in range(n)) for y in range(n)
+    )
+
+
 def tau_from_sigma(s) -> tuple[Perm, ...]:
     """Derived right action: tau[y][x] = sigma^{-1}_{sigma_x(y)}(x).
 
     Rows of sigma must be bijective. This is the unique table making
     (sigma, tau) involutive.
     """
-    rows = _rows(s)
-    n = len(rows)
-    inv = [inverse(row) for row in rows]
-    return tuple(
-        tuple(inv[rows[x][y]][x] for x in range(n)) for y in range(n)
-    )
+    return _tau(_rows(s))
+
+
+def trusted_solution(rows) -> Solution:
+    """Solution on rows the library built itself, with tau derived.
+
+    Nothing is checked: the rows must be a tuple of bijective row tuples
+    forming a solution by a theorem (see the module docstring).
+    """
+    return Solution(len(rows), rows, _tau(rows))
 
 
 def check_cycle_condition(s) -> tuple[bool, tuple[int, int, int] | None]:
@@ -104,7 +121,10 @@ def check_cycle_condition(s) -> tuple[bool, tuple[int, int, int] | None]:
     Returns (True, None) or (False, witness) with the lexicographically
     first failing (a, b, c). Rows must be bijective.
     """
-    rows = _rows(s)
+    return _cycle(_rows(s))
+
+
+def _cycle(rows) -> tuple[bool, tuple[int, int, int] | None]:
     n = len(rows)
     inv = [inverse(row) for row in rows]
     # after[a](q) = q . sigma^{-1}_a as a tuple
@@ -168,7 +188,7 @@ def _involutive_ok(rows, tau) -> bool:
 
 def _report(rows, tau) -> VerifyReport:
     # both routes on bijective rows with their derived tau
-    cycle_ok, cycle_wit = check_cycle_condition(rows)
+    cycle_ok, cycle_wit = _cycle(rows)
     braid_wit = _braid_witness(rows, tau)
     involutive = _involutive_ok(rows, tau)
     first = braid_wit if braid_wit is not None else cycle_wit
@@ -188,7 +208,7 @@ def verify_solution(s) -> VerifyReport:
     rows = _rows(s)
     if not all(is_perm(row) for row in rows):
         return VerifyReport(False, False, False, False, False, None)
-    return _report(rows, tau_from_sigma(rows))
+    return _report(rows, _tau(rows))
 
 
 def solution_from_table(n: int, sigma) -> Solution:
@@ -208,10 +228,9 @@ def solution_from_table(n: int, sigma) -> Solution:
     for x, row in enumerate(rows):
         if not is_perm(row):
             raise NotBijectiveRow(x)
-    tau = tau_from_sigma(rows)
-    if not (check_cycle_condition(rows)[0] and is_perm(_diagonal(rows))):
-        raise AxiomViolation(_report(rows, tau))
-    return Solution(n, rows, tau)
+    if not (_cycle(rows)[0] and is_perm(_diagonal(rows))):
+        raise AxiomViolation(_report(rows, _tau(rows)))
+    return trusted_solution(rows)
 
 
 def solution_to_json(s: Solution) -> str:

@@ -2,13 +2,18 @@
 
 Permutations are image tuples: p[i] is the image of i under p. Groups are
 stored by explicit element sets computed by breadth-first closure from
-generators; every group this library touches is tiny (at most a few
-hundred elements), so no stabilizer chains are needed.
+generators, so no stabilizer chains are needed; the closure is bounded
+(SizeLimitExceeded). The permutation group and the automorphism group of
+an eligible solution are both regular, with n elements on n points.
+Parameter recovery never closes the former (orbits and all_commute on the
+distinct rows are enough), and is_abelian tests regular groups at one
+point.
 """
 
 import math
 import os
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import DegreeMismatch, InternalError, NotAbelian, SizeLimitExceeded
 from .util import factorize
@@ -89,7 +94,8 @@ class PermGroup:
     orbit_partition: tuple[tuple[int, ...], ...]
 
 
-def _orbits(n: int, gens) -> tuple[tuple[int, ...], ...]:
+def orbits(n: int, gens) -> tuple[tuple[int, ...], ...]:
+    """Point orbits of the group generated by gens, each sorted, by least point."""
     seen = [False] * n
     parts = []
     for start in range(n):
@@ -143,19 +149,41 @@ def group_closure(gens, max_size: int | None = None) -> PermGroup:
                     elements.add(p)
                     new.append(p)
         frontier = new
-    return PermGroup(n, tuple(gens), tuple(sorted(elements)), _orbits(n, gens))
+    return PermGroup(n, tuple(gens), tuple(sorted(elements)), orbits(n, gens))
 
 
 def is_transitive(group: PermGroup) -> bool:
     return len(group.orbit_partition) == 1
 
 
+def all_commute(perms) -> bool:
+    """True iff the permutations (all of one degree) commute pairwise."""
+    perms = list(perms)
+    if not perms or len(perms[0]) < 2:
+        return True
+    # after[i](q) = q . perms[i], a tuple since the degree is at least 2
+    after = [itemgetter(*p) for p in perms]
+    for i, p in enumerate(perms):
+        for j in range(i + 1, len(perms)):
+            if after[j](p) != after[i](perms[j]):
+                return False
+    return True
+
+
 def is_abelian(group: PermGroup) -> bool:
-    """Generator pairs commuting is enough."""
+    """Generator pairs commuting is enough.
+
+    In a regular group g.h and h.g are both elements, and an element is
+    fixed by its image of 0, so there g.h = h.g iff g(h(0)) = h(g(0)).
+    """
     gens = group.generators
-    for i in range(len(gens)):
+    if not is_regular(group):
+        return all_commute(gens)
+    at0 = [g[0] for g in gens]
+    for i, g in enumerate(gens):
+        g0 = at0[i]
         for j in range(i + 1, len(gens)):
-            if compose(gens[i], gens[j]) != compose(gens[j], gens[i]):
+            if g[at0[j]] != gens[j][g0]:
                 return False
     return True
 

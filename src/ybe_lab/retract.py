@@ -1,8 +1,13 @@
-"""Retraction, multipermutation level, and the level-2 predicates."""
+"""Retraction, multipermutation level, and the level-2 predicates.
+
+The retraction and both predicates work on class ids: each row is hashed
+once to an int numbered by first occurrence, and ints are compared, not
+whole rows, so each is O(n^2).
+"""
 
 from dataclasses import dataclass
 
-from .core import Solution, tau_from_sigma
+from .core import Solution, trusted_solution
 from .errors import CarrierTooSmall
 
 
@@ -23,16 +28,19 @@ def retract(s: Solution) -> RetractionResult:
     is a solution, are theorems (Etingof-Schedler-Soloviev), so neither is
     checked here; test_retract_is_well_defined checks both.
     """
-    class_of: dict = {}
-    reps = []
-    proj = []
-    for x, row in enumerate(s.sigma):
-        if row not in class_of:
-            class_of[row] = len(reps)
-            reps.append(x)
-        proj.append(class_of[row])
+    proj = _class_ids(s.sigma)
+    first: dict[int, int] = {}
+    for x, c in enumerate(proj):
+        first.setdefault(c, x)
+    reps = list(first.values())
     qrows = tuple(tuple(proj[s.sigma[x][y]] for y in reps) for x in reps)
-    return RetractionResult(Solution(len(reps), qrows, tau_from_sigma(qrows)), tuple(proj))
+    return RetractionResult(trusted_solution(qrows), tuple(proj))
+
+
+def _class_ids(rows) -> list[int]:
+    """Id of every row's class of equal rows, numbered by first occurrence."""
+    class_of: dict = {}
+    return [class_of.setdefault(row, len(class_of)) for row in rows]
 
 
 def mpl(s: Solution) -> int | None:
@@ -54,12 +62,9 @@ def mpl(s: Solution) -> int | None:
 
 def is_2_reductive(s: Solution) -> bool:
     """True iff sigma_{sigma_x(y)} = sigma_y for all x, y."""
-    for x in range(s.n):
-        row = s.sigma[x]
-        for y in range(s.n):
-            if s.sigma[row[y]] != s.sigma[y]:
-                return False
-    return True
+    cid = _class_ids(s.sigma)
+    # class ids along row x must read cid itself
+    return all([cid[v] for v in row] == cid for row in s.sigma)
 
 
 def is_mpl_at_most_2(s: Solution) -> bool:
@@ -70,9 +75,7 @@ def is_mpl_at_most_2(s: Solution) -> bool:
     """
     if s.n < 2:
         raise CarrierTooSmall("level-2 test needs at least two points")
-    for x in range(s.n):
-        ref = s.sigma[s.sigma[0][x]]
-        for y in range(1, s.n):
-            if s.sigma[s.sigma[y][x]] != ref:
-                return False
-    return True
+    cid = _class_ids(s.sigma)
+    # the class ids along every row y must read as along row 0
+    ref = [cid[v] for v in s.sigma[0]]
+    return all([cid[v] for v in row] == ref for row in s.sigma)

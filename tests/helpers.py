@@ -11,6 +11,12 @@ import random
 # one whose retraction stalls (not a multipermutation solution)
 LEVEL3 = [[0, 1, 2, 3], [0, 1, 2, 3], [0, 1, 3, 2], [1, 0, 3, 2]]
 STALLED = [[0, 1, 3, 2], [2, 3, 1, 0], [3, 2, 0, 1], [1, 0, 2, 3]]
+# sigma_x(y) = y + k(x) mod 27 with k(x) = 1 + 3x + 9x(x-1)/2: rows are
+# powers of one 27-cycle, so the solution is indecomposable with cyclic
+# permutation group, and its level is 3
+CYCLIC_LEVEL3 = [
+    [(y + 1 + 3 * x + 9 * (x * (x - 1) // 2)) % 27 for y in range(27)] for x in range(27)
+]
 
 
 def oracle_is_solution(table) -> bool:

@@ -257,3 +257,20 @@ def test_criterion_12_classify_a_256_point_file(tmp_path, capsys):
         out = json.loads(capsys.readouterr().out)
         assert (out["n1"], out["n2"], out["r"]) == (2, 128, 8)
         assert certificate_ok(out["phi"], member, inst)
+
+
+def test_criterion_13_aut_of_a_256_point_file(tmp_path, capsys):
+    member = build_c((2, 128, 8))
+    g = list(range(member.n))
+    random.Random(20261018).shuffle(g)
+    path = tmp_path / "member.json"
+    path.write_text(json.dumps({"n": member.n, "sigma": relabel(member.sigma, g)}))
+    with criterion("13 CLI aut of a 256 point file", 1.5):
+        assert cli.run(["aut", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == {
+            "order": 256,
+            "abelian": True,
+            "invariant_factors": [2, 128],
+            "cyclic": False,
+        }

@@ -6,7 +6,7 @@ from helpers import LEVEL3, STALLED, aut_by_filtering, relabel
 from ybe_lab.aut import aut_c_closed_form, automorphism_group, is_aut_cyclic_c1nr
 from ybe_lab.classify import enumerate_family, explicit_iso_to_c, iso_search
 from ybe_lab.construct import CParams, build_c, build_nonabelian_example
-from ybe_lab.core import solution_from_table
+from ybe_lab.core import Solution, solution_from_table, tau_from_sigma
 from ybe_lab.errors import (
     InvalidParams,
     NotAbelian,
@@ -90,14 +90,23 @@ def test_automorphism_group_falls_back_to_search():
 
 def test_automorphism_group_falls_back_past_the_closure_bound(monkeypatch):
     # the permutation group of STALLED has 8 elements, its automorphism
-    # group 2: a bound of 4 stops parameter recovery, not the search
+    # group 2: parameter recovery builds no group, so a bound of 4 leaves
+    # its true verdict, and the search's closure stays under the bound
     s = solution_from_table(4, STALLED)
     monkeypatch.setenv(MAX_CLOSURE_ENV, "4")
     with pytest.raises(SizeLimitExceeded):
+        group_closure(sorted(set(s.sigma)))
+    with pytest.raises(NotAbelian):
         explicit_iso_to_c(s)
     g = automorphism_group(s)
     assert g == searched_group(s)
     assert len(g.elements) == 2
+    # an eligible 512-point member classifies under the same bound
+    perm = list(range(512))
+    random.Random(4).shuffle(perm)
+    rows = tuple(map(tuple, relabel(build_c((2, 256, 16)).sigma, perm)))
+    member = Solution(512, rows, tau_from_sigma(rows))
+    assert explicit_iso_to_c(member).params == (2, 256, 16)
 
 
 def test_closed_form_point():

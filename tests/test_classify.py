@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from helpers import oracle_is_solution, relabel
+from helpers import CYCLIC_LEVEL3, LEVEL3, STALLED, oracle_is_solution, relabel
+from ybe_lab import classify
 from ybe_lab.classify import (
     are_isomorphic,
     count_cyclic,
@@ -14,7 +15,16 @@ from ybe_lab.classify import (
 )
 from ybe_lab.construct import CParams, build_c, build_nonabelian_example, c_params_valid
 from ybe_lab.core import solution_from_table, verify_solution
-from ybe_lab.errors import BoundExceeded, NotAbelian, NotIndecomposable
+from ybe_lab.errors import (
+    BoundExceeded,
+    NotAbelian,
+    NotIndecomposable,
+    NotMplAtMost2,
+    StructureViolation,
+    YbeError,
+)
+from ybe_lab.perm import compose, group_closure, is_transitive, order, power
+from ybe_lab.retract import mpl
 from ybe_lab.util import divisors, square_part
 
 
@@ -94,6 +104,62 @@ def test_recover_params_rejects_decomposable():
 def test_recover_params_rejects_nonabelian():
     with pytest.raises(NotAbelian):
         recover_params(build_nonabelian_example(3))
+
+
+def closure_reference_params(s):
+    """recover_params through the closed permutation group, check by check."""
+    g = group_closure(sorted(set(s.sigma)))
+    if not is_transitive(g):
+        raise NotIndecomposable
+    if any(compose(a, b) != compose(b, a) for a in g.generators for b in g.generators):
+        raise NotAbelian
+    level = mpl(s)
+    if s.n >= 2 and (level is None or level > 2):
+        raise NotMplAtMost2
+    row_orders = {order(row) for row in s.sigma}
+    if len(row_orders) != 1:
+        raise StructureViolation
+    n2 = row_orders.pop()
+    n1, rem = divmod(s.n, n2)
+    if rem or n2 % n1:
+        raise StructureViolation
+    rho = s.sigma[0]
+    target = power(s.sigma[rho[0]], n1)
+    hits = [r for r in range(n2 // n1) if power(rho, (r + 1) * n1) == target]
+    if len(hits) != 1 or (n1 * hits[0] ** 2) % n2:
+        raise StructureViolation
+    return CParams(n1, n2, hits[0])
+
+
+def _outcome(f, s):
+    try:
+        return f(s)
+    except YbeError as exc:
+        return type(exc)
+
+
+def test_recover_params_matches_closure_reference(monkeypatch):
+    # same triple or same exception class as the closure-based reference,
+    # without building any group
+    rng = random.Random(20261018)
+    pool = [build_nonabelian_example(m) for m in (1, 2, 3, 4, 5)]
+    pool += [solution_from_table(4, t) for t in (LEVEL3, STALLED)]
+    for n in range(1, 5):
+        pool += exhaustive_enumerate(n)
+    for n in range(1, 41):
+        pool += [build_c(p) for p in enumerate_family(n)]
+    # indecomposable, cyclic permutation group, level 3
+    pool.append(solution_from_table(27, CYCLIC_LEVEL3))
+    pool = [shuffled_copy(s, rng)[0] for s in pool for _ in range(2)]
+    expected = [_outcome(closure_reference_params, s) for s in pool]
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("recover_params built a group")
+
+    monkeypatch.setattr(classify, "group_closure", no_closure)
+    assert [_outcome(recover_params, s) for s in pool] == expected
+    kinds = {e if isinstance(e, type) else CParams for e in expected}
+    assert kinds == {CParams, NotIndecomposable, NotAbelian, NotMplAtMost2}
 
 
 def test_explicit_iso_certificates():

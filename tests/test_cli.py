@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import golden
 from ybe_lab.cli import run
 from ybe_lab.construct import build_c, build_nonabelian_example
 from ybe_lab.core import solution_to_json
@@ -270,3 +271,14 @@ def test_verbose_notes_on_stderr(capsys):
     code, out, err = invoke(capsys, "--verbose", "construct", "1", "2", "0")
     assert code == 0
     assert "family member" in err
+
+
+def test_golden_outputs(tmp_path):
+    # stdout and exit codes of construct/verify/classify/iso/aut, pinned
+    # by tests/data/golden_cli.json (see tests/golden.py)
+    expected = json.loads(golden.FIXTURE.read_text(encoding="utf-8"))
+    assert [r["argv"] for r in expected] == golden.cases()
+    golden.write_inputs(tmp_path)
+    for record in expected:
+        code, out = golden.run_case(record["argv"], tmp_path)
+        assert (code, out) == (record["code"], record["stdout"]), record["argv"]

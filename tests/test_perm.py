@@ -7,6 +7,7 @@ from ybe_lab.errors import DegreeMismatch, NotAbelian, SizeLimitExceeded
 from ybe_lab.perm import (
     MAX_CLOSURE_ENV,
     PermGroup,
+    all_commute,
     compose,
     group_closure,
     identity,
@@ -204,3 +205,45 @@ def test_permgroup_is_frozen():
     assert isinstance(g, PermGroup)
     with pytest.raises(AttributeError):
         g.degree = 5
+
+
+def regular_representation(gens):
+    """Generators of the group of gens acting on itself by left multiplication."""
+    elements = group_closure(gens).elements
+    index = {e: i for i, e in enumerate(elements)}
+    return [tuple(index[compose(g, e)] for e in elements) for g in gens]
+
+
+def test_is_abelian_agrees_with_pairwise_compose():
+    # the point-0 test of regular groups and the generic all_commute path
+    # against every pair of elements, with the group given by a few
+    # generators and by all its elements (as automorphism groups are)
+    dihedral4 = [(1, 2, 3, 0), (3, 2, 1, 0)]
+    cases = {
+        "regular S3": (regular_representation(S3_GENS), True),
+        "regular D4": (regular_representation(dihedral4), True),
+        "regular Z6": (regular_representation([(1, 2, 0, 4, 3)]), True),
+        "regular Z2 x Z4": (regular_representation([(1, 0, 2, 3, 4, 5), (0, 1, 3, 4, 5, 2)]), True),
+        "Klein": (KLEIN_GENS, True),
+        "S3": (S3_GENS, False),
+        "D4 on 4 points": (dihedral4, False),
+        "intransitive": ([(1, 0, 2, 3), (0, 1, 3, 2)], False),
+        "trivial": ([identity(3)], False),
+    }
+    rng = random.Random(12)
+    for i in range(40):
+        degree = rng.randint(2, 6)
+        gens = [tuple(rng.sample(range(degree), degree)) for _ in range(rng.randint(1, 3))]
+        cases[f"random {i}"] = (gens, None)
+    seen = set()
+    for name, (gens, regular) in cases.items():
+        g = group_closure(gens)
+        if regular is not None:
+            assert is_regular(g) == regular, name
+        brute = all(compose(a, b) == compose(b, a) for a in g.elements for b in g.elements)
+        by_elements = PermGroup(g.degree, g.elements, g.elements, g.orbit_partition)
+        assert is_abelian(g) == brute, name
+        assert is_abelian(by_elements) == brute, name
+        assert all_commute(g.generators) == brute, name
+        seen.add((is_regular(g), brute))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}

@@ -1,12 +1,20 @@
+import itertools
+import random
+
 import pytest
 
-from helpers import LEVEL3, STALLED, oracle_is_solution, random_solution_tables
-import random
+from helpers import (
+    CYCLIC_LEVEL3,
+    LEVEL3,
+    STALLED,
+    oracle_is_solution,
+    random_bijective_table,
+    random_solution_tables,
+)
 
 from ybe_lab.classify import enumerate_family
 from ybe_lab.construct import build_c, build_nonabelian_example
-from ybe_lab.core import verify_solution
-from ybe_lab.core import solution_from_table
+from ybe_lab.core import Solution, solution_from_table, tau_from_sigma, verify_solution
 from ybe_lab.errors import CarrierTooSmall
 from ybe_lab.classify import exhaustive_enumerate
 from ybe_lab.retract import is_2_reductive, is_mpl_at_most_2, mpl, retract
@@ -91,6 +99,32 @@ def test_is_mpl_at_most_2():
     assert is_mpl_at_most_2(build_c((2, 8, 2)))
     assert not is_mpl_at_most_2(solution_from_table(4, LEVEL3))
     assert not is_mpl_at_most_2(solution_from_table(4, STALLED))
+    cyclic_level3 = solution_from_table(27, CYCLIC_LEVEL3)
+    assert mpl(cyclic_level3) == 3
+    assert not is_mpl_at_most_2(cyclic_level3)
+
+
+def test_class_id_predicates_match_row_compares():
+    # the class-id level-2 and 2-reductivity tests against whole-row
+    # compares on every bijective 3-point table and fuzzed larger ones,
+    # solutions or not
+    tables = [list(t) for t in itertools.product(itertools.permutations(range(3)), repeat=3)]
+    rng = random.Random(9)
+    tables += [random_bijective_table(rng, n) for n in (2, 4, 5) for _ in range(200)]
+    tables += [s.sigma for s in exhaustive_enumerate(4)]
+    seen = set()
+    for t in tables:
+        n = len(t)
+        rows = tuple(tuple(row) for row in t)
+        s = Solution(n, rows, tau_from_sigma(rows))
+        level2 = all(
+            rows[rows[y][x]] == rows[rows[0][x]] for x in range(n) for y in range(n)
+        )
+        reductive = all(rows[rows[x][y]] == rows[y] for x in range(n) for y in range(n))
+        assert is_mpl_at_most_2(s) == level2
+        assert is_2_reductive(s) == reductive
+        seen.add((level2, reductive))
+    assert seen == {(True, True), (True, False), (False, False)}
 
 
 def test_is_mpl_at_most_2_needs_two_points():
