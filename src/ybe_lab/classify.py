@@ -16,7 +16,7 @@ import itertools
 from typing import NamedTuple
 
 from .construct import CParams, build_c, c_params_valid
-from .core import Solution, tau_from_sigma
+from .core import Solution, trusted_solution
 from .errors import (
     BoundExceeded,
     NotAbelian,
@@ -28,11 +28,7 @@ from .perm import (
     Perm,
     all_commute,
     compose,
-    group_closure,
     inverse,
-    is_abelian,
-    is_transitive,
-    invariant_factors,
     orbits,
     order,
     power,
@@ -48,21 +44,21 @@ class ClassifyOutcome(NamedTuple):
     phi: Perm
 
 
-def _solution_group(s: Solution):
-    return group_closure(sorted(set(s.sigma)))
-
-
 def _invariants(s: Solution):
-    """Cheap isomorphism invariants used for quick rejection and bucketing."""
-    g = _solution_group(s)
-    ab = is_abelian(g)
+    """Isomorphism invariants for quick rejection, bucketing and filtering.
+
+    (n, sorted row orders, number of distinct rows, one orbit?, rows
+    commute?, mpl). The distinct rows generate the permutation group, so
+    the fourth and fifth entries say whether it is transitive and abelian;
+    no group is built.
+    """
+    rows = sorted(set(s.sigma))
     return (
         s.n,
         tuple(sorted(order(row) for row in s.sigma)),
-        len(g.elements),
-        ab,
-        invariant_factors(g) if ab else None,
-        is_transitive(g),
+        len(rows),
+        len(orbits(s.n, rows)) == 1,
+        all_commute(rows),
         mpl(s),
     )
 
@@ -155,8 +151,9 @@ def iso_search(sig1, sig2, find_all: bool) -> list[Perm]:
 def are_isomorphic(s1: Solution, s2: Solution) -> Perm | None:
     """Certificate phi with phi . sigma_x = sigma'_{phi(x)} . phi, or None.
 
-    Quick-rejects on carrier size, row-order multiset, permutation group
-    invariants and multipermutation level before searching.
+    Quick-rejects on carrier size, row-order multiset, the number of
+    distinct rows, transitivity and abelianness of the permutation group
+    and multipermutation level before searching.
     """
     if s1.n != s2.n:
         return None
@@ -289,9 +286,11 @@ def exhaustive_enumerate(
     is not verified again. The tests cover this:
     test_exhaustive_enumerate_reps_are_solutions_and_distinct (every class
     up to 4 points) and test_cycle_condition_implies_both_routes (all
-    bijective 3-point tables). Completions are filtered and deduplicated
-    by isomorphism; each class is represented by its lexicographically
-    smallest discovered table, which is also discovery order.
+    bijective 3-point tables). Each completion's invariants are computed
+    once; the filters are read off them (transitivity, abelianness, level)
+    and they bucket the deduplication by isomorphism. Each class is
+    represented by its lexicographically smallest discovered table, which
+    is also discovery order.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -322,21 +321,15 @@ def exhaustive_enumerate(
                         return False
         return True
 
-    def accept(sol: Solution) -> bool:
-        if indecomposable or abelian:
-            g = _solution_group(sol)
-            if indecomposable and not is_transitive(g):
-                return False
-            if abelian and not is_abelian(g):
-                return False
-        if mpl_le_2:
-            level = mpl(sol)
-            if level is None or level > 2:
-                return False
-        return True
-
     def record(sol: Solution) -> None:
         key = _invariants(sol)
+        *_, transitive, commute, level = key
+        if (
+            (indecomposable and not transitive)
+            or (abelian and not commute)
+            or (mpl_le_2 and (level is None or level > 2))
+        ):
+            return
         for i, rep in enumerate(reps):
             if rep_keys[i] == key and iso_search(rep.sigma, sol.sigma, find_all=False):
                 return
@@ -345,10 +338,7 @@ def exhaustive_enumerate(
 
     def dfs() -> None:
         if len(rows) == n:
-            table = tuple(rows)
-            sol = Solution(n, table, tau_from_sigma(table))
-            if accept(sol):
-                record(sol)
+            record(trusted_solution(tuple(rows)))
             return
         for p in all_perms:
             if abelian and any(compose(p, q) != compose(q, p) for q in rows):

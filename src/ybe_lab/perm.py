@@ -5,9 +5,11 @@ stored by explicit element sets computed by breadth-first closure from
 generators, so no stabilizer chains are needed; the closure is bounded
 (SizeLimitExceeded). The permutation group and the automorphism group of
 an eligible solution are both regular, with n elements on n points.
-Parameter recovery never closes the former (orbits and all_commute on the
-distinct rows are enough), and is_abelian tests regular groups at one
-point.
+No classify path closes the former: parameter recovery, the isomorphism
+quick-reject and the exhaustive oracle's filters read orbits and
+all_commute off the distinct rows. Closure remains for direct calls and
+for the search fallback of aut.automorphism_group. is_abelian tests
+regular groups at one point.
 """
 
 import math

@@ -4,14 +4,16 @@ tests/data/golden_cli.json holds the exit code and stdout of every case
 built here; test_cli.py::test_golden_outputs replays the cases against
 it. Inputs are relabeled family members up to 24 points (one seed), the
 non-abelian witness, the LEVEL3 and STALLED fixtures, a swap-corrupted
-member and malformed files. Regenerate the fixture only when an output
-change is intended, and say so in CHANGES.md:
+member and malformed files. The exhaustive oracle's listings are pinned
+for n = 1..4 under every subset of its filters. Regenerate the fixture
+only when an output change is intended, and say so in CHANGES.md:
 
     PYTHONPATH=src python tests/golden.py
 """
 
 import contextlib
 import io
+import itertools
 import json
 import random
 import sys
@@ -26,6 +28,7 @@ from ybe_lab.construct import build_c, build_nonabelian_example
 FIXTURE = Path(__file__).with_name("data") / "golden_cli.json"
 SEED = 20261018
 MAX_POINTS = 24
+FILTERS = ("indecomposable", "abelian", "mpl2")
 MALFORMED = {
     "truncated": '{"n":2,"sigma":[[1,0],[1',
     "not-square": '{"n":2,"sigma":[[1,0],[0]]}',
@@ -80,6 +83,11 @@ def cases() -> list[list[str]]:
     for name in ("witness", "level3", "stalled", "corrupt", *(f"malformed-{m}" for m in MALFORMED)):
         f = f"{name}.json"
         out += [["verify", f], ["classify", f], ["aut", f], ["aut", f, "--elements"], ["iso", f, f]]
+    for n in range(1, 5):
+        for k in range(len(FILTERS) + 1):
+            for subset in itertools.combinations(FILTERS, k):
+                argv = ["enumerate", str(n), "--exhaustive"]
+                out.append(argv + ["--filter", ",".join(subset)] if subset else argv)
     return out
 
 

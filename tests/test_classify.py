@@ -1,9 +1,11 @@
+import itertools
 import random
+import sys
 
 import pytest
 
 from helpers import CYCLIC_LEVEL3, LEVEL3, STALLED, oracle_is_solution, relabel
-from ybe_lab import classify
+from ybe_lab import perm
 from ybe_lab.classify import (
     are_isomorphic,
     count_cyclic,
@@ -20,10 +22,18 @@ from ybe_lab.errors import (
     NotAbelian,
     NotIndecomposable,
     NotMplAtMost2,
+    SizeLimitExceeded,
     StructureViolation,
     YbeError,
 )
-from ybe_lab.perm import compose, group_closure, is_transitive, order, power
+from ybe_lab.perm import (
+    MAX_CLOSURE_ENV,
+    compose,
+    group_closure,
+    is_transitive,
+    order,
+    power,
+)
 from ybe_lab.retract import mpl
 from ybe_lab.util import divisors, square_part
 
@@ -44,19 +54,21 @@ def shuffled_copy(s, rng):
 
 
 def test_are_isomorphic_finds_relabelings():
+    # the quick-reject key must be an isomorphism invariant: every class
+    # on 4 points, the level-3 and stalled fixtures, the witnesses and the
+    # members up to 24 points, each against two relabelings
     rng = random.Random(42)
-    for p in ((1, 4, 2), (2, 2, 0), (2, 4, 0)):
-        s = build_c(p)
-        for _ in range(5):
+    pool = exhaustive_enumerate(4)
+    pool += [solution_from_table(len(t), t) for t in (LEVEL3, STALLED, CYCLIC_LEVEL3)]
+    pool += [build_nonabelian_example(m) for m in (3, 4, 5)]
+    for n in range(1, 25):
+        pool += [build_c(p) for p in enumerate_family(n)]
+    for s in pool:
+        for _ in range(2):
             t, _ = shuffled_copy(s, rng)
             phi = are_isomorphic(s, t)
             assert phi is not None
             check_certificate(phi, s, t)
-    w = build_nonabelian_example(3)
-    t, _ = shuffled_copy(w, rng)
-    phi = are_isomorphic(w, t)
-    assert phi is not None
-    check_certificate(phi, w, t)
 
 
 def test_are_isomorphic_negative_cases():
@@ -138,9 +150,23 @@ def _outcome(f, s):
         return type(exc)
 
 
+def forbid_group_closure(monkeypatch):
+    """Replace group_closure at every ybe_lab module that binds it."""
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("a permutation group was built")
+
+    original = perm.group_closure
+    for name, module in list(sys.modules.items()):
+        if name == "ybe_lab" or name.startswith("ybe_lab."):
+            if getattr(module, "group_closure", None) is original:
+                monkeypatch.setattr(module, "group_closure", no_closure)
+
+
 def test_recover_params_matches_closure_reference(monkeypatch):
     # same triple or same exception class as the closure-based reference,
-    # without building any group
+    # without building any group; are_isomorphic and the exhaustive
+    # oracle under every filter build none either
     rng = random.Random(20261018)
     pool = [build_nonabelian_example(m) for m in (1, 2, 3, 4, 5)]
     pool += [solution_from_table(4, t) for t in (LEVEL3, STALLED)]
@@ -153,11 +179,15 @@ def test_recover_params_matches_closure_reference(monkeypatch):
     pool = [shuffled_copy(s, rng)[0] for s in pool for _ in range(2)]
     expected = [_outcome(closure_reference_params, s) for s in pool]
 
-    def no_closure(*args, **kwargs):
-        raise AssertionError("recover_params built a group")
-
-    monkeypatch.setattr(classify, "group_closure", no_closure)
+    forbid_group_closure(monkeypatch)
     assert [_outcome(recover_params, s) for s in pool] == expected
+    for s, t in zip(pool, pool[1:]):
+        are_isomorphic(s, t)
+    for n in range(1, 5):
+        for flags in itertools.product((False, True), repeat=3):
+            exhaustive_enumerate(
+                n, indecomposable=flags[0], abelian=flags[1], mpl_le_2=flags[2]
+            )
     kinds = {e if isinstance(e, type) else CParams for e in expected}
     assert kinds == {CParams, NotIndecomposable, NotAbelian, NotMplAtMost2}
 
@@ -274,6 +304,20 @@ def test_exhaustive_enumerate_filters():
         4, indecomposable=True, abelian=True, mpl_le_2=True
     )
     assert sorted(recover_params(s) for s in all_flags) == enumerate_family(4)
+
+
+def test_closure_bound_does_not_reach_iso_or_oracle(monkeypatch):
+    # the permutation group of STALLED has 8 elements; neither the
+    # isomorphism test nor the oracle's filters build it
+    s = solution_from_table(4, STALLED)
+    monkeypatch.setenv(MAX_CLOSURE_ENV, "4")
+    with pytest.raises(SizeLimitExceeded):
+        group_closure(sorted(set(s.sigma)))
+    t, _ = shuffled_copy(s, random.Random(5))
+    phi = are_isomorphic(s, t)
+    assert phi is not None
+    check_certificate(phi, s, t)
+    assert len(exhaustive_enumerate(4, indecomposable=True)) == 5
 
 
 def test_exhaustive_enumerate_bound():

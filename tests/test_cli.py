@@ -4,9 +4,11 @@ import json
 import pytest
 
 import golden
+from helpers import STALLED
 from ybe_lab.cli import run
 from ybe_lab.construct import build_c, build_nonabelian_example
-from ybe_lab.core import solution_to_json
+from ybe_lab.core import solution_from_table, solution_to_json
+from ybe_lab.perm import MAX_CLOSURE_ENV
 
 
 def invoke(capsys, *argv):
@@ -149,6 +151,15 @@ def test_iso_negative(capsys, tmp_path):
     code, out, _ = invoke(capsys, "iso", p1, p2)
     assert code == 1
     assert json.loads(out) == {"isomorphic": False}
+
+
+def test_iso_past_the_closure_bound(capsys, tmp_path, monkeypatch):
+    # the permutation group of STALLED has 8 elements; iso builds none
+    path = write_solution(tmp_path, "s.json", solution_from_table(4, STALLED))
+    monkeypatch.setenv(MAX_CLOSURE_ENV, "4")
+    code, out, _ = invoke(capsys, "iso", path, path)
+    assert code == 0
+    assert json.loads(out)["isomorphic"] is True
 
 
 def test_aut_output(capsys, tmp_path):
