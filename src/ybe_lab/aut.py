@@ -4,7 +4,7 @@ from .classify import explicit_iso_to_c, iso_search
 from .construct import c_params_valid
 from .core import Solution
 from .errors import InvalidParams, NotAbelian, NotIndecomposable, NotMplAtMost2
-from .perm import Perm, PermGroup, compose, group_closure, inverse
+from .perm import Perm, PermGroup, compose, inverse, orbits
 
 
 def automorphism_group(s: Solution) -> PermGroup:
@@ -15,13 +15,16 @@ def automorphism_group(s: Solution) -> PermGroup:
     group is phi . Aut(member) . phi^{-1}, read off aut_c_closed_form: it
     is regular, and its generators are all its elements, ordered by the
     image of 0 as the search finds them. Other input falls back to the
-    search. test_automorphism_group_equals_search checks both paths
-    against the search.
+    complete search, whose list of automorphisms is already the whole
+    group, so no closure is taken. test_automorphism_group_equals_search
+    and test_automorphism_group_falls_back_to_search check both paths
+    against the closure of the search's list.
     """
     try:
         p, phi = explicit_iso_to_c(s)
     except (NotIndecomposable, NotAbelian, NotMplAtMost2):
-        return group_closure(iso_search(s.sigma, s.sigma, find_all=True))
+        auts = tuple(iso_search(s.sigma, s.sigma, find_all=True))
+        return PermGroup(s.n, auts, tuple(sorted(auts)), orbits(s.n, auts))
     phi_inv = inverse(phi)
     elements = tuple(sorted(
         compose(phi, compose(aut_c_closed_form(p, a, i), phi_inv))

@@ -1,19 +1,19 @@
 """Permutation arithmetic and small permutation groups.
 
 Permutations are image tuples: p[i] is the image of i under p. Groups are
-stored by explicit element sets computed by breadth-first closure from
-generators, so no stabilizer chains are needed; the closure is bounded
-(SizeLimitExceeded). The permutation group and the automorphism group of
-an eligible solution are both regular, with n elements on n points.
-No classify path closes the former: parameter recovery, the isomorphism
-quick-reject and the exhaustive oracle's filters read orbits and
-all_commute off the distinct rows. Closure remains for direct calls and
-for the search fallback of aut.automorphism_group. is_abelian tests
-regular groups at one point.
+stored by explicit element sets, so no stabilizer chains are needed.
+group_closure computes them by breadth-first closure from generators,
+bounded by max_size (SizeLimitExceeded). No library path calls it:
+parameter recovery, the isomorphism quick-reject and the exhaustive
+oracle's filters read orbits and all_commute off the distinct rows, and
+aut.automorphism_group builds its groups from the closed form or from
+the complete list the automorphism search returns. Closure remains for
+direct calls and as the tests' reference. The permutation group and the
+automorphism group of an eligible solution are both regular, with n
+elements on n points; is_abelian tests regular groups at one point.
 """
 
 import math
-import os
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -23,7 +23,6 @@ from .util import factorize
 Perm = tuple[int, ...]
 
 DEFAULT_MAX_CLOSURE = 10**6
-MAX_CLOSURE_ENV = "YBE_LAB_MAX_CLOSURE"
 
 
 def identity(n: int) -> Perm:
@@ -118,11 +117,10 @@ def orbits(n: int, gens) -> tuple[tuple[int, ...], ...]:
     return tuple(parts)
 
 
-def group_closure(gens, max_size: int | None = None) -> PermGroup:
+def group_closure(gens, max_size: int = DEFAULT_MAX_CLOSURE) -> PermGroup:
     """Close a nonempty generator list under composition.
 
-    max_size defaults to the YBE_LAB_MAX_CLOSURE environment variable, or
-    10**6; exceeding it raises SizeLimitExceeded before memory does.
+    Exceeding max_size elements raises SizeLimitExceeded before memory does.
     """
     gens = [tuple(g) for g in gens]
     if not gens:
@@ -133,8 +131,6 @@ def group_closure(gens, max_size: int | None = None) -> PermGroup:
             raise DegreeMismatch("generators act on different carriers")
         if not is_perm(g):
             raise ValueError(f"generator {g} is not a permutation")
-    if max_size is None:
-        max_size = int(os.environ.get(MAX_CLOSURE_ENV, DEFAULT_MAX_CLOSURE))
     e = identity(n)
     elements = {e}
     frontier = [e]

@@ -4,7 +4,9 @@ tests/data/golden_cli.json holds the exit code and stdout of every case
 built here; test_cli.py::test_golden_outputs replays the cases against
 it. Inputs are relabeled family members up to 24 points (one seed), the
 non-abelian witness, the LEVEL3 and STALLED fixtures, a swap-corrupted
-member and malformed files. The exhaustive oracle's listings are pinned
+member and malformed files. The automorphism groups of two decomposable
+solutions, the trivial one on 4 points and the permutation solution
+sigma_x = (0 1 2)(3 4) on 6 points, pin the search fallback of `aut`. The exhaustive oracle's listings are pinned
 for n = 1..4 under every subset of its filters. Regenerate the fixture
 only when an output change is intended, and say so in CHANGES.md:
 
@@ -29,6 +31,8 @@ FIXTURE = Path(__file__).with_name("data") / "golden_cli.json"
 SEED = 20261018
 MAX_POINTS = 24
 FILTERS = ("indecomposable", "abelian", "mpl2")
+# sigma_x = f for every x, with f = (0 1 2)(3 4) on 6 points
+PERMUTATION6 = [[1, 2, 0, 4, 3, 5]] * 6
 MALFORMED = {
     "truncated": '{"n":2,"sigma":[[1,0],[1',
     "not-square": '{"n":2,"sigma":[[1,0],[0]]}',
@@ -63,6 +67,8 @@ def inputs() -> dict[str, str]:
     files["corrupt.json"] = _dump(swap_corrupted(rng, _relabeled(rng, build_c((2, 8, 2)).sigma)))
     for name, text in MALFORMED.items():
         files[f"malformed-{name}.json"] = text
+    files["trivial4.json"] = _dump([list(range(4))] * 4)
+    files["permutation6.json"] = _dump(PERMUTATION6)
     return files
 
 
@@ -88,6 +94,8 @@ def cases() -> list[list[str]]:
             for subset in itertools.combinations(FILTERS, k):
                 argv = ["enumerate", str(n), "--exhaustive"]
                 out.append(argv + ["--filter", ",".join(subset)] if subset else argv)
+    for f in ("trivial4.json", "permutation6.json"):
+        out += [["aut", f], ["aut", f, "--elements"]]
     return out
 
 

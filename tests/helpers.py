@@ -2,10 +2,14 @@
 
 Everything here recomputes definitions from scratch on plain lists and
 dicts so that library results are checked against a second code path,
-not against themselves.
+not against themselves. The one exception is forbid_group_closure, a
+guard that makes any group closure inside the library fail a test.
 """
 
 import random
+import sys
+
+from ybe_lab import perm
 
 # frozen 4-point fixtures found by the exhaustive search: one of level 3,
 # one whose retraction stalls (not a multipermutation solution)
@@ -122,3 +126,17 @@ def random_solution_tables(rng: random.Random, n: int, count: int):
         if oracle_is_solution(t):
             out.append(t)
     return out
+
+
+def forbid_group_closure(monkeypatch):
+    """Replace group_closure at every ybe_lab module that binds it, so any
+    library call that builds a group by closure fails the test."""
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("a permutation group was built")
+
+    original = perm.group_closure
+    for name, module in list(sys.modules.items()):
+        if name == "ybe_lab" or name.startswith("ybe_lab."):
+            if getattr(module, "group_closure", None) is original:
+                monkeypatch.setattr(module, "group_closure", no_closure)

@@ -274,3 +274,14 @@ def test_criterion_13_aut_of_a_256_point_file(tmp_path, capsys):
             "invariant_factors": [2, 128],
             "cyclic": False,
         }
+
+
+def test_criterion_14_aut_of_the_trivial_7_point_solution(tmp_path, capsys):
+    # sigma_x = id: decomposable, so aut takes the search fallback, and
+    # its group is S_7 with 5040 elements
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps({"n": 7, "sigma": [list(range(7))] * 7}))
+    with criterion("14 CLI aut of the trivial 7 point solution", 2.0):
+        assert cli.run(["aut", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out == '{"order":5040,"abelian":false,"invariant_factors":null,"cyclic":false}\n'

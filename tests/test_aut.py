@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import LEVEL3, STALLED, aut_by_filtering, relabel
+from helpers import LEVEL3, STALLED, aut_by_filtering, forbid_group_closure, relabel
 from ybe_lab.aut import aut_c_closed_form, automorphism_group, is_aut_cyclic_c1nr
 from ybe_lab.classify import enumerate_family, explicit_iso_to_c, iso_search
 from ybe_lab.construct import CParams, build_c, build_nonabelian_example
@@ -14,7 +14,6 @@ from ybe_lab.errors import (
     SizeLimitExceeded,
 )
 from ybe_lab.perm import (
-    MAX_CLOSURE_ENV,
     group_closure,
     invariant_factors,
     is_abelian,
@@ -71,37 +70,57 @@ def test_automorphism_group_equals_search():
             assert automorphism_group(s) == searched_group(s)
 
 
-def test_automorphism_group_falls_back_to_search():
+def trivial(n):
+    """sigma_x = id for every x; its automorphism group is S_n."""
+    return solution_from_table(n, [list(range(n))] * n)
+
+
+def test_automorphism_group_falls_back_to_search(monkeypatch):
+    # the search's list is the whole group: the fallback builds no closure
+    # and still returns the closure reference, generators and orbits included
     cases = {
         NotAbelian: [build_nonabelian_example(3), solution_from_table(4, STALLED)],
         NotIndecomposable: [
             solution_from_table(4, LEVEL3),
-            solution_from_table(3, [[0, 1, 2]] * 3),
+            *(trivial(n) for n in range(2, 7)),
+            # the permutation solution sigma_x = (0 1 2)(3 4)
+            solution_from_table(6, [[1, 2, 0, 4, 3, 5]] * 6),
         ],
+        # the trivial solution on one point is the member C(1, 1, 0)
+        None: [trivial(1)],
     }
+    expected = {
+        s: (searched_group(s), sorted(aut_by_filtering(s.sigma)))
+        for sols in cases.values()
+        for s in sols
+    }
+    forbid_group_closure(monkeypatch)
     for error, sols in cases.items():
         for s in sols:
-            with pytest.raises(error):
-                explicit_iso_to_c(s)
+            if error is not None:
+                with pytest.raises(error):
+                    explicit_iso_to_c(s)
             g = automorphism_group(s)
-            assert g == searched_group(s)
-            assert sorted(g.elements) == sorted(aut_by_filtering(s.sigma))
+            reference, filtered = expected[s]
+            assert g == reference
+            assert sorted(g.elements) == filtered
 
 
 def test_automorphism_group_falls_back_past_the_closure_bound(monkeypatch):
-    # the permutation group of STALLED has 8 elements, its automorphism
-    # group 2: parameter recovery builds no group, so a bound of 4 leaves
-    # its true verdict, and the search's closure stays under the bound
+    # the permutation group of STALLED has 8 elements, past a bound of 4,
+    # and its automorphism group 2: neither parameter recovery nor the
+    # search fallback builds a group by closure
     s = solution_from_table(4, STALLED)
-    monkeypatch.setenv(MAX_CLOSURE_ENV, "4")
     with pytest.raises(SizeLimitExceeded):
-        group_closure(sorted(set(s.sigma)))
+        group_closure(sorted(set(s.sigma)), max_size=4)
+    reference = searched_group(s)
+    forbid_group_closure(monkeypatch)
     with pytest.raises(NotAbelian):
         explicit_iso_to_c(s)
     g = automorphism_group(s)
-    assert g == searched_group(s)
+    assert g == reference
     assert len(g.elements) == 2
-    # an eligible 512-point member classifies under the same bound
+    # an eligible 512-point member classifies under the same guard
     perm = list(range(512))
     random.Random(4).shuffle(perm)
     rows = tuple(map(tuple, relabel(build_c((2, 256, 16)).sigma, perm)))

@@ -1,11 +1,16 @@
 import itertools
 import random
-import sys
 
 import pytest
 
-from helpers import CYCLIC_LEVEL3, LEVEL3, STALLED, oracle_is_solution, relabel
-from ybe_lab import perm
+from helpers import (
+    CYCLIC_LEVEL3,
+    LEVEL3,
+    STALLED,
+    forbid_group_closure,
+    oracle_is_solution,
+    relabel,
+)
 from ybe_lab.classify import (
     are_isomorphic,
     count_cyclic,
@@ -27,7 +32,6 @@ from ybe_lab.errors import (
     YbeError,
 )
 from ybe_lab.perm import (
-    MAX_CLOSURE_ENV,
     compose,
     group_closure,
     is_transitive,
@@ -148,19 +152,6 @@ def _outcome(f, s):
         return f(s)
     except YbeError as exc:
         return type(exc)
-
-
-def forbid_group_closure(monkeypatch):
-    """Replace group_closure at every ybe_lab module that binds it."""
-
-    def no_closure(*args, **kwargs):
-        raise AssertionError("a permutation group was built")
-
-    original = perm.group_closure
-    for name, module in list(sys.modules.items()):
-        if name == "ybe_lab" or name.startswith("ybe_lab."):
-            if getattr(module, "group_closure", None) is original:
-                monkeypatch.setattr(module, "group_closure", no_closure)
 
 
 def test_recover_params_matches_closure_reference(monkeypatch):
@@ -307,13 +298,13 @@ def test_exhaustive_enumerate_filters():
 
 
 def test_closure_bound_does_not_reach_iso_or_oracle(monkeypatch):
-    # the permutation group of STALLED has 8 elements; neither the
-    # isomorphism test nor the oracle's filters build it
+    # the permutation group of STALLED has 8 elements, past a bound of 4;
+    # neither the isomorphism test nor the oracle's filters build it
     s = solution_from_table(4, STALLED)
-    monkeypatch.setenv(MAX_CLOSURE_ENV, "4")
     with pytest.raises(SizeLimitExceeded):
-        group_closure(sorted(set(s.sigma)))
+        group_closure(sorted(set(s.sigma)), max_size=4)
     t, _ = shuffled_copy(s, random.Random(5))
+    forbid_group_closure(monkeypatch)
     phi = are_isomorphic(s, t)
     assert phi is not None
     check_certificate(phi, s, t)

@@ -4,11 +4,10 @@ import json
 import pytest
 
 import golden
-from helpers import STALLED
+from helpers import STALLED, forbid_group_closure
 from ybe_lab.cli import run
 from ybe_lab.construct import build_c, build_nonabelian_example
 from ybe_lab.core import solution_from_table, solution_to_json
-from ybe_lab.perm import MAX_CLOSURE_ENV
 
 
 def invoke(capsys, *argv):
@@ -81,6 +80,7 @@ MALFORMED = {
     "non-int-entry": '{"n":2,"sigma":[[1,"0"],[1,0]]}',
     "empty-table": '{"n":0,"sigma":[]}',
     "row-not-a-list": '{"n":2,"sigma":[1,0]}',
+    "deeply-nested": "[" * 100_000 + "]" * 100_000,
 }
 
 
@@ -154,12 +154,21 @@ def test_iso_negative(capsys, tmp_path):
 
 
 def test_iso_past_the_closure_bound(capsys, tmp_path, monkeypatch):
-    # the permutation group of STALLED has 8 elements; iso builds none
+    # the permutation group of STALLED has 8 elements and its automorphism
+    # group 2; neither iso nor aut builds a group by closure
     path = write_solution(tmp_path, "s.json", solution_from_table(4, STALLED))
-    monkeypatch.setenv(MAX_CLOSURE_ENV, "4")
+    forbid_group_closure(monkeypatch)
     code, out, _ = invoke(capsys, "iso", path, path)
     assert code == 0
     assert json.loads(out)["isomorphic"] is True
+    code, out, _ = invoke(capsys, "aut", path)
+    assert code == 0
+    assert json.loads(out) == {
+        "order": 2,
+        "abelian": True,
+        "invariant_factors": [2],
+        "cyclic": True,
+    }
 
 
 def test_aut_output(capsys, tmp_path):

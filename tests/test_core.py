@@ -30,7 +30,6 @@ from ybe_lab.errors import (
     NotBijectiveRow,
     NotNonDegenerate,
 )
-from ybe_lab.perm import inverse
 
 # two valid 4-point tables used throughout: the cyclic member with twist
 # and the one with a rank-two permutation group
@@ -53,14 +52,27 @@ def corrupted_members(rng, limit, copies):
 
 
 def test_tau_is_the_involutive_partner():
-    # recompute tau from the definition with independent code
-    for table in (TWIST4, RANK2, [(0, 1), (0, 1)], [(1, 0), (1, 0)]):
+    # recompute tau from the definition with independent code, and check
+    # r . r = id on every table with bijective rows, solution or not: the
+    # report's involutive flag is set by construction, never scanned
+    rng = random.Random(20261018)
+    tables = [TWIST4, RANK2, [(0, 1), (0, 1)], [(1, 0), (1, 0)]]
+    tables += itertools.product(itertools.permutations(range(3)), repeat=3)
+    tables += [random_bijective_table(rng, n) for n in (4, 5, 6) for _ in range(200)]
+    for table in tables:
         tau = tau_from_sigma(table)
         n = len(table)
-        inv = [inverse(row) for row in table]
+        inv = [[0] * n for _ in range(n)]
+        for x, row in enumerate(table):
+            for y, v in enumerate(row):
+                inv[x][v] = y
+        r = {}
         for y in range(n):
             for x in range(n):
                 assert tau[y][x] == inv[table[x][y]][x]
+                r[(x, y)] = (table[x][y], tau[y][x])
+        assert all(r[r[pair]] == pair for pair in r)
+        assert verify_solution(table).involutive
 
 
 def test_tau_of_twist_table():

@@ -1,0 +1,116 @@
+"""Static layout rules of the ybe_lab package, checked on its source.
+
+The modules are parsed with ast and never imported, so a rule holds for
+every line of the package, not only for the paths the other tests run.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ybe_lab"
+MODULES = {
+    path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for path in sorted(PACKAGE.glob("*.py"))
+}
+
+
+def package_imports(tree):
+    """(module, imported names) for each import of a ybe_lab module."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module or "").startswith("ybe_lab"):
+                continue
+            module = (node.module or "").removeprefix("ybe_lab").lstrip(".")
+            if module:
+                out.append((module, [alias.name for alias in node.names]))
+            else:
+                # from . import core: each name is a module
+                out += [(alias.name, []) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("ybe_lab."):
+                    out.append((alias.name.removeprefix("ybe_lab."), []))
+    return out
+
+
+def top_level_names(tree):
+    """Names bound by the statements at module level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def referenced_names(tree):
+    """Every identifier the module binds, reads or imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update({node.name, node.asname} - {None})
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def test_package_is_found():
+    assert {"__init__", "aut", "classify", "cli", "core", "perm"} <= set(MODULES)
+
+
+def test_no_private_names_cross_modules():
+    for name, tree in MODULES.items():
+        for module, imported in package_imports(tree):
+            if module != name:
+                private = [n for n in imported if n.startswith("_")]
+                assert not private, f"{name} imports {private} from {module}"
+
+
+def test_core_imports_only_errors_and_perm():
+    assert {m for m, _ in package_imports(MODULES["core"])} <= {"errors", "perm"}
+
+
+def test_only_perm_binds_group_closure():
+    assert "group_closure" in top_level_names(MODULES["perm"])
+    for name, tree in MODULES.items():
+        if name not in ("perm", "__init__"):
+            assert "group_closure" not in referenced_names(tree), name
+    sources = [m for m, imported in package_imports(MODULES["__init__"])
+               if "group_closure" in imported]
+    assert sources == ["perm"]
+
+
+def test_no_environment_reads():
+    for name, tree in MODULES.items():
+        found = referenced_names(tree) & {"environ", "environb", "getenv"}
+        assert not found, f"{name} reads {sorted(found)}"
+
+
+def test_public_names_resolve():
+    init = MODULES["__init__"]
+    (exported,) = [
+        ast.literal_eval(node.value)
+        for node in init.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    ]
+    origin = {}
+    for node in init.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                origin[alias.asname or alias.name] = (node.module, alias.name)
+    assert len(set(exported)) == len(exported)
+    for public in exported:
+        assert public in origin or public in top_level_names(init), public
+        if public in origin:
+            module, name = origin[public]
+            assert name in top_level_names(MODULES[module]), f"{module}.{name}"

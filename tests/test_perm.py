@@ -5,7 +5,6 @@ import pytest
 
 from ybe_lab.errors import DegreeMismatch, NotAbelian, SizeLimitExceeded
 from ybe_lab.perm import (
-    MAX_CLOSURE_ENV,
     PermGroup,
     all_commute,
     compose,
@@ -136,16 +135,6 @@ def test_group_closure_size_limit():
         group_closure(S3_GENS, max_size=3)
     g = group_closure(S3_GENS, max_size=6)
     assert len(g.elements) == 6
-
-
-def test_group_closure_env_limit(monkeypatch):
-    monkeypatch.setenv(MAX_CLOSURE_ENV, "3")
-    with pytest.raises(SizeLimitExceeded):
-        group_closure(S3_GENS)
-    # explicit bound overrides the environment
-    assert len(group_closure(S3_GENS, max_size=10).elements) == 6
-    monkeypatch.delenv(MAX_CLOSURE_ENV)
-    assert len(group_closure(S3_GENS).elements) == 6
 
 
 def test_trivial_group():
