@@ -1,10 +1,18 @@
 """Automorphism groups, the family closed form, and the cyclicity test."""
 
+from itertools import islice
+
 from .classify import explicit_iso_to_c, iso_search
 from .construct import c_params_valid
 from .core import Solution
-from .errors import InvalidParams, NotAbelian, NotIndecomposable, NotMplAtMost2
-from .perm import Perm, PermGroup, compose, inverse, orbits
+from .errors import (
+    InvalidParams,
+    NotAbelian,
+    NotIndecomposable,
+    NotMplAtMost2,
+    SizeLimitExceeded,
+)
+from .perm import DEFAULT_MAX_CLOSURE, Perm, PermGroup, compose, inverse, orbits
 
 
 def automorphism_group(s: Solution) -> PermGroup:
@@ -15,15 +23,18 @@ def automorphism_group(s: Solution) -> PermGroup:
     group is phi . Aut(member) . phi^{-1}, read off aut_c_closed_form: it
     is regular, and its generators are all its elements, ordered by the
     image of 0 as the search finds them. Other input falls back to the
-    complete search, whose list of automorphisms is already the whole
-    group, so no closure is taken. test_automorphism_group_equals_search
-    and test_automorphism_group_falls_back_to_search check both paths
+    search, whose automorphisms are the whole group (no closure); it
+    stops with SizeLimitExceeded past DEFAULT_MAX_CLOSURE of them.
+    test_automorphism_group_equals_search and
+    test_automorphism_group_falls_back_to_search check both paths
     against the closure of the search's list.
     """
     try:
         p, phi = explicit_iso_to_c(s)
     except (NotIndecomposable, NotAbelian, NotMplAtMost2):
-        auts = tuple(iso_search(s.sigma, s.sigma, find_all=True))
+        auts = tuple(islice(iso_search(s.sigma, s.sigma), DEFAULT_MAX_CLOSURE + 1))
+        if len(auts) > DEFAULT_MAX_CLOSURE:
+            raise SizeLimitExceeded(f"more than {DEFAULT_MAX_CLOSURE} automorphisms")
         return PermGroup(s.n, auts, tuple(sorted(auts)), orbits(s.n, auts))
     phi_inv = inverse(phi)
     elements = tuple(sorted(

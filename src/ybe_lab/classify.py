@@ -13,9 +13,10 @@ cyclic permutation group), and distinct triples are never isomorphic.
 """
 
 import itertools
+from collections.abc import Iterator
 from typing import NamedTuple
 
-from .construct import CParams, build_c, c_params_valid
+from .construct import CParams, build_c
 from .core import Solution, trusted_solution
 from .errors import (
     BoundExceeded,
@@ -72,19 +73,20 @@ def _full_check(sig1, sig2, phi) -> bool:
     )
 
 
-def iso_search(sig1, sig2, find_all: bool) -> list[Perm]:
-    """Backtracking search for structure-preserving bijections.
+def iso_search(sig1, sig2) -> Iterator[Perm]:
+    """Every structure-preserving bijection sig1 -> sig2, lazily.
 
-    Anchors phi(0) on every order-compatible target, then propagates the
-    forced images phi(sigma_x(y)) = sigma'_{phi(x)}(phi(y)) to closure;
-    remaining choice points branch on the unmapped point with fewest
-    candidates. Results come in deterministic order; with find_all the
-    list is every certificate, otherwise at most one.
+    Branches phi(0) over every order-compatible target, then propagates
+    the forced images phi(sigma_x(y)) = sigma'_{phi(x)}(phi(y)) to
+    closure; remaining choice points branch on the unmapped point with
+    fewest candidates. Certificates come in a deterministic order, each
+    once. A complete map is not checked again: propagate checks each
+    point, when popped, against every point mapped so far, so every pair
+    of points has been checked (test_iso_search_matches_brute_force).
     """
     n = len(sig1)
     ord1 = [order(row) for row in sig1]
     ord2 = [order(row) for row in sig2]
-    results: list[Perm] = []
 
     def propagate(phi, used, stack, assigned) -> bool:
         while stack:
@@ -105,12 +107,17 @@ def iso_search(sig1, sig2, find_all: bool) -> list[Perm]:
                         return False
         return True
 
-    def extend(phi, used, assigned) -> bool:
+    def branch(phi, used, assigned, x, cands):
+        for t in cands:
+            phi2, used2, assigned2 = phi[:], used | {t}, [*assigned, x]
+            phi2[x] = t
+            if propagate(phi2, used2, [x], assigned2):
+                yield from extend(phi2, used2, assigned2)
+
+    def extend(phi, used, assigned):
         if len(assigned) == n:
-            if _full_check(sig1, sig2, phi):
-                results.append(tuple(phi))
-                return not find_all
-            return False
+            yield tuple(phi)
+            return
         best_x = -1
         best_cands: list[int] = []
         for x in range(n):
@@ -118,34 +125,15 @@ def iso_search(sig1, sig2, find_all: bool) -> list[Perm]:
                 continue
             cands = [t for t in range(n) if t not in used and ord2[t] == ord1[x]]
             if not cands:
-                return False
+                return
             if best_x == -1 or len(cands) < len(best_cands):
                 best_x, best_cands = x, cands
                 if len(cands) == 1:
                     break
-        for t in best_cands:
-            phi2 = phi[:]
-            used2 = set(used)
-            assigned2 = assigned[:]
-            phi2[best_x] = t
-            used2.add(t)
-            assigned2.append(best_x)
-            if propagate(phi2, used2, [best_x], assigned2):
-                if extend(phi2, used2, assigned2):
-                    return True
-        return False
+        yield from branch(phi, used, assigned, best_x, best_cands)
 
-    for t in range(n):
-        if ord2[t] != ord1[0]:
-            continue
-        phi = [-1] * n
-        phi[0] = t
-        used = {t}
-        assigned = [0]
-        if propagate(phi, used, [0], assigned):
-            if extend(phi, used, assigned) and not find_all:
-                return results
-    return results
+    anchors = [t for t in range(n) if ord2[t] == ord1[0]]
+    yield from branch([-1] * n, set(), [], 0, anchors)
 
 
 def are_isomorphic(s1: Solution, s2: Solution) -> Perm | None:
@@ -159,8 +147,7 @@ def are_isomorphic(s1: Solution, s2: Solution) -> Perm | None:
         return None
     if _invariants(s1) != _invariants(s2):
         return None
-    found = iso_search(s1.sigma, s2.sigma, find_all=False)
-    return found[0] if found else None
+    return next(iso_search(s1.sigma, s2.sigma), None)
 
 
 def recover_params(s: Solution) -> CParams:
@@ -330,8 +317,8 @@ def exhaustive_enumerate(
             or (mpl_le_2 and (level is None or level > 2))
         ):
             return
-        for i, rep in enumerate(reps):
-            if rep_keys[i] == key and iso_search(rep.sigma, sol.sigma, find_all=False):
+        for rep, k in zip(reps, rep_keys):
+            if k == key and next(iso_search(rep.sigma, sol.sigma), None) is not None:
                 return
         reps.append(sol)
         rep_keys.append(key)

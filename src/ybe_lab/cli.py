@@ -29,7 +29,7 @@ from .core import (
     verify_solution,
 )
 from .errors import NotAbelian, YbeError
-from .perm import invariant_factors, is_cyclic
+from .perm import invariant_factors
 
 FILTER_NAMES = {"indecomposable", "abelian", "mpl2"}
 
@@ -104,8 +104,8 @@ def cmd_aut(args) -> int:
     sol = _load_solution(args.file)
     g = automorphism_group(sol)
     try:
-        # invariant_factors runs the abelianness test itself; on the regular
-        # groups of eligible input it compares images of 0, O(n^2) in all
+        # invariant_factors runs the abelianness test itself (O(n^2) on the
+        # regular groups of eligible input); cyclic means at most one factor
         factors = list(invariant_factors(g))
     except NotAbelian:
         factors = None
@@ -113,7 +113,7 @@ def cmd_aut(args) -> int:
         "order": len(g.elements),
         "abelian": factors is not None,
         "invariant_factors": factors,
-        "cyclic": is_cyclic(g),
+        "cyclic": factors is not None and len(factors) <= 1,
     }
     if args.elements:
         out["elements"] = [list(p) for p in g.elements]

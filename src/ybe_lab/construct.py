@@ -25,7 +25,7 @@ from .errors import (
     NotMplAtMost2,
     NotTwoReductive,
 )
-from .perm import Perm, compose, inverse, is_perm
+from .perm import compose, inverse, is_perm
 from .retract import is_2_reductive, is_mpl_at_most_2
 
 

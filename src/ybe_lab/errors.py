@@ -34,7 +34,7 @@ class NotNonDegenerate(YbeError):
 
 
 class SizeLimitExceeded(YbeError):
-    """Group closure grew past the configured element bound."""
+    """A group closure or automorphism search passed its element bound."""
 
 
 class NotAbelian(YbeError):

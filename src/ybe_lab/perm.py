@@ -7,10 +7,11 @@ bounded by max_size (SizeLimitExceeded). No library path calls it:
 parameter recovery, the isomorphism quick-reject and the exhaustive
 oracle's filters read orbits and all_commute off the distinct rows, and
 aut.automorphism_group builds its groups from the closed form or from
-the complete list the automorphism search returns. Closure remains for
-direct calls and as the tests' reference. The permutation group and the
-automorphism group of an eligible solution are both regular, with n
-elements on n points; is_abelian tests regular groups at one point.
+the automorphisms the search yields, stopping past DEFAULT_MAX_CLOSURE
+of them. Closure remains for direct calls and as the tests' reference.
+The permutation group and the automorphism group of an eligible
+solution are both regular, with n elements on n points; is_abelian
+tests regular groups at one point.
 """
 
 import math

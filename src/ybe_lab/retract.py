@@ -63,8 +63,8 @@ def mpl(s: Solution) -> int | None:
 def is_2_reductive(s: Solution) -> bool:
     """True iff sigma_{sigma_x(y)} = sigma_y for all x, y."""
     cid = _class_ids(s.sigma)
-    # class ids along row x must read cid itself
-    return all([cid[v] for v in row] == cid for row in s.sigma)
+    # class ids along row x, one row per class, must read cid itself
+    return all([cid[v] for v in row] == cid for row in dict(zip(cid, s.sigma)).values())
 
 
 def is_mpl_at_most_2(s: Solution) -> bool:
@@ -76,6 +76,6 @@ def is_mpl_at_most_2(s: Solution) -> bool:
     if s.n < 2:
         raise CarrierTooSmall("level-2 test needs at least two points")
     cid = _class_ids(s.sigma)
-    # the class ids along every row y must read as along row 0
+    # class ids along every row y, one row per class, must read as along row 0
     ref = [cid[v] for v in s.sigma[0]]
-    return all([cid[v] for v in row] == ref for row in s.sigma)
+    return all([cid[v] for v in row] == ref for row in dict(zip(cid, s.sigma)).values())

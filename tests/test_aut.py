@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -5,8 +6,9 @@ import pytest
 from helpers import LEVEL3, STALLED, aut_by_filtering, forbid_group_closure, relabel
 from ybe_lab.aut import aut_c_closed_form, automorphism_group, is_aut_cyclic_c1nr
 from ybe_lab.classify import enumerate_family, explicit_iso_to_c, iso_search
+from ybe_lab.cli import run
 from ybe_lab.construct import CParams, build_c, build_nonabelian_example
-from ybe_lab.core import Solution, solution_from_table, tau_from_sigma
+from ybe_lab.core import Solution, solution_from_table, solution_to_json, tau_from_sigma
 from ybe_lab.errors import (
     InvalidParams,
     NotAbelian,
@@ -24,7 +26,16 @@ from ybe_lab.perm import (
 
 def searched_group(s):
     """The automorphism group found by the backtracking search."""
-    return group_closure(iso_search(s.sigma, s.sigma, find_all=True))
+    return group_closure(iso_search(s.sigma, s.sigma))
+
+
+def check_cyclic_by_factors(g):
+    """The CLI's reading: cyclic iff abelian with at most one invariant factor."""
+    try:
+        factors = invariant_factors(g)
+    except NotAbelian:
+        factors = None
+    assert is_cyclic(g) == (factors is not None and len(factors) <= 1)
 
 
 def test_automorphism_group_twist4():
@@ -67,7 +78,9 @@ def test_automorphism_group_equals_search():
             g = list(range(n))
             rng.shuffle(g)
             s = solution_from_table(n, relabel(build_c(p).sigma, g))
-            assert automorphism_group(s) == searched_group(s)
+            group = automorphism_group(s)
+            assert group == searched_group(s)
+            check_cyclic_by_factors(group)
 
 
 def trivial(n):
@@ -104,6 +117,33 @@ def test_automorphism_group_falls_back_to_search(monkeypatch):
             reference, filtered = expected[s]
             assert g == reference
             assert sorted(g.elements) == filtered
+            check_cyclic_by_factors(g)
+
+
+def test_automorphism_search_fallback_is_bounded(monkeypatch, tmp_path, capsys):
+    # the trivial 5-point solution has 120 automorphisms: a bound of 119
+    # stops the search, a bound of 120 lets it answer
+    s = trivial(5)
+    path = tmp_path / "trivial.json"
+    path.write_text(solution_to_json(s), encoding="utf-8")
+    monkeypatch.setattr("ybe_lab.aut.DEFAULT_MAX_CLOSURE", 119)
+    with pytest.raises(SizeLimitExceeded):
+        automorphism_group(s)
+    assert run(["aut", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "SizeLimitExceeded"
+    monkeypatch.setattr("ybe_lab.aut.DEFAULT_MAX_CLOSURE", 120)
+    assert len(automorphism_group(s).elements) == 120
+    assert run(["aut", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["order"] == 120
+
+
+@pytest.mark.slow
+def test_cli_aut_of_the_trivial_10_point_solution_is_bounded(tmp_path, capsys):
+    # 10! = 3628800 automorphisms: the search stops past 10**6 of them
+    path = tmp_path / "trivial.json"
+    path.write_text(solution_to_json(trivial(10)), encoding="utf-8")
+    assert run(["aut", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "SizeLimitExceeded"
 
 
 def test_automorphism_group_falls_back_past_the_closure_bound(monkeypatch):

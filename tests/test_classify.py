@@ -18,6 +18,7 @@ from ybe_lab.classify import (
     enumerate_family,
     exhaustive_enumerate,
     explicit_iso_to_c,
+    iso_search,
     recover_params,
 )
 from ybe_lab.construct import CParams, build_c, build_nonabelian_example, c_params_valid
@@ -73,6 +74,52 @@ def test_are_isomorphic_finds_relabelings():
             phi = are_isomorphic(s, t)
             assert phi is not None
             check_certificate(phi, s, t)
+
+
+def iso_search_pool():
+    """(sigma, sigma') pairs for the search, as tuples of row tuples.
+
+    All 216 bijective 3-point tables, 40 seeded random bijective tables
+    each on 2, 4 and 5 points and the 23 classes on 4 points; each table
+    is paired with itself, with a seeded relabeling of itself and with the
+    next table of the same size. Most tables are not solutions: the
+    search's propagation uses no axiom.
+    """
+    rng = random.Random(20261018)
+    tables = list(itertools.product(itertools.permutations(range(3)), repeat=3))
+    for n in (2, 4, 5):
+        tables += [[rng.sample(range(n), n) for _ in range(n)] for _ in range(40)]
+    tables += [s.sigma for s in exhaustive_enumerate(4)]
+    pairs = []
+    for a, b in zip(tables, tables[1:] + tables[:1]):
+        g = list(range(len(a)))
+        rng.shuffle(g)
+        pairs += [(a, a), (a, relabel(a, g))]
+        if len(b) == len(a):
+            pairs.append((a, b))
+    return [(tuple(map(tuple, a)), tuple(map(tuple, b))) for a, b in pairs]
+
+
+def test_iso_search_matches_brute_force():
+    # a complete map is not checked again inside the search, so this is
+    # the check that propagation alone yields exactly the certificates,
+    # each once, the first being are_isomorphic's answer
+    pool = iso_search_pool()
+    assert len(pool) == 1072
+    for a, b in pool:
+        n = len(a)
+        found = list(iso_search(a, b))
+        assert len(set(found)) == len(found)
+        assert set(found) == {
+            phi
+            for phi in itertools.permutations(range(n))
+            if all(phi[a[x][y]] == b[phi[x]][phi[y]] for x in range(n) for y in range(n))
+        }
+        try:
+            s, t = solution_from_table(n, a), solution_from_table(n, b)
+        except YbeError:
+            continue
+        assert are_isomorphic(s, t) == (found[0] if found else None)
 
 
 def test_are_isomorphic_negative_cases():

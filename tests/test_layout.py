@@ -95,6 +95,23 @@ def test_no_environment_reads():
         assert not found, f"{name} reads {sorted(found)}"
 
 
+def test_imported_names_are_used():
+    # every name a module imports is read somewhere in it; __init__ imports
+    # to re-export, which test_public_names_resolve covers
+    unused = {}
+    for name, tree in MODULES.items():
+        if name == "__init__":
+            continue
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - used:
+            unused[name] = sorted(imported - used)
+    assert not unused
+
+
 def test_public_names_resolve():
     init = MODULES["__init__"]
     (exported,) = [
