@@ -18,19 +18,33 @@ for all a, b, with the diagonal map T(a) = sigma^{-1}_a(a) a bijection
 193, 2005). verify_solution runs both characterizations and reports each
 flag, so the two routes cross-check each other on every call.
 
+Both routes are O(n^2) compositions of rows. For involutive r the braid
+relation has the composition form
+
+    sigma_x sigma_y = sigma_{sigma_x(y)} sigma_{tau_y(x)}    for all x, y
+
+(the same two references), whose two sides are the first components of
+the two triple composites. The braid route accepts on that identity.
+Where it first fails, at (x0, y0) and point z0, the braid relation
+fails at (x0, y0, z0), so the scalar scan that names the
+lexicographically first witness stops by that triple. Up to 256 points
+rows are composed as bytes through bytes.translate, above that through
+operator.itemgetter (_composer). tests/test_core.py checks the braid
+route against a scalar reference, exhaustively on 4 points under -m slow.
+
 solution_from_table checks the axioms on tables from outside the library
-(CLI files, direct calls). It accepts through the cycle route alone,
-which is O(n^2) compositions of rows, and builds the full two-route
-report only to reject; test_solution_from_table_agrees_with_verify checks
-that both decide alike. Tables the library builds are solutions by a
-theorem and become Solutions through trusted_solution, which checks
-nothing; tests/test_construct.py, test_retract.py and test_classify.py
-verify them (the docstrings of build_c, retract and exhaustive_enumerate
-name the tests).
+(CLI files, direct calls). It accepts through the cycle route alone and
+builds the full two-route report only to reject;
+test_solution_from_table_agrees_with_verify checks that both decide
+alike. Tables the library builds are solutions by a theorem and become
+Solutions through trusted_solution, which checks nothing;
+tests/test_construct.py, test_retract.py and test_classify.py verify
+them (the docstrings of build_c, retract and exhaustive_enumerate name
+the tests).
 
 Each public entry point checks the shape and entries of a raw table once
-(_rows) and then runs the private kernels (_tau, _cycle) on the checked
-rows.
+(_rows) and then runs the private kernels (_tau, _cycle, _braid) on the
+checked rows.
 """
 
 import json
@@ -122,24 +136,42 @@ def check_cycle_condition(s) -> tuple[bool, tuple[int, int, int] | None]:
     """Evaluate the cycle condition on all triples.
 
     Returns (True, None) or (False, witness) with the lexicographically
-    first failing (a, b, c). Rows must be bijective.
+    first failing (a, b, c). Rows must be bijective. The two sides are
+    compared as whole rows, one composition pair for each a < b, so the
+    cost is O(n^2) compositions (bytes.translate up to 256 points).
     """
     return _cycle(_rows(s))
+
+
+def _composer(n):
+    """Encoders (left, right) for composing permutations of range(n) in C.
+
+    right(g)(left(f)) is f . g (x -> f(g(x))) as a sequence of ints, and
+    two composites compare equal exactly when they are the same map. Up to
+    256 points a row is bytes and composition is bytes.translate, with the
+    left factor padded to a 256-byte table; above that it is itemgetter.
+    """
+    if n <= 256:
+        pad = bytes(256 - n)
+        return (lambda f: bytes(f) + pad), (lambda g: bytes(g).translate)
+    return tuple, (lambda g: itemgetter(*g))
 
 
 def _cycle(rows) -> tuple[bool, tuple[int, int, int] | None]:
     n = len(rows)
     inv = [inverse(row) for row in rows]
-    # after[a](q) = q . sigma^{-1}_a as a tuple
-    after = [itemgetter(*qa) for qa in inv]
+    left, right = _composer(n)
+    table = [left(qa) for qa in inv]
+    # after[a](table[i]) = sigma^{-1}_i . sigma^{-1}_a
+    after = [right(qa) for qa in inv]
     # The condition at (a, b, c) is the condition at (b, a, c) with its
     # sides swapped, and a failure with a > b is also one at the smaller
     # triple (b, a, c), so scanning a < b finds the same first witness.
     for a in range(n - 1):
         qa, after_a = inv[a], after[a]
         for b in range(a + 1, n):
-            lhs = after_a(inv[qa[b]])
-            rhs = after[b](inv[inv[b][a]])
+            lhs = after_a(table[qa[b]])
+            rhs = after[b](table[inv[b][a]])
             if lhs != rhs:
                 c = next(c for c in range(n) if lhs[c] != rhs[c])
                 return False, (a, b, c)
@@ -148,15 +180,34 @@ def _cycle(rows) -> tuple[bool, tuple[int, int, int] | None]:
 
 def _diagonal(rows) -> Perm:
     # T(a) = sigma^{-1}_a(a), not checked for bijectivity
-    return tuple(inverse(row)[a] for a, row in enumerate(rows))
+    return tuple(row.index(a) for a, row in enumerate(rows))
 
 
 def t_map(s) -> Perm:
-    """Diagonal map T(a) = sigma^{-1}_a(a); raises NotNonDegenerate if not bijective."""
+    """Diagonal map T(a) = sigma^{-1}_a(a); raises NotNonDegenerate if not bijective.
+
+    Rows must be bijective.
+    """
     img = _diagonal(_rows(s))
     if not is_perm(img):
         raise NotNonDegenerate("diagonal map is not a bijection")
     return img
+
+
+def _braid(rows, tau) -> tuple[int, int, int] | None:
+    # the composition form of the braid relation (module docstring); the
+    # scalar scan returns by the first triple where the identity fails
+    n = len(rows)
+    left, right = _composer(n)
+    table = [left(row) for row in rows]
+    # after[y](table[x]) = sigma_x . sigma_y
+    after = [right(row) for row in rows]
+    for x in range(n):
+        row_x, table_x = rows[x], table[x]
+        for y in range(n):
+            if after[y](table_x) != after[tau[y][x]](table[row_x[y]]):
+                return _braid_witness(rows, tau)
+    return None
 
 
 def _braid_witness(rows, tau) -> tuple[int, int, int] | None:
@@ -182,7 +233,7 @@ def _braid_witness(rows, tau) -> tuple[int, int, int] | None:
 def _report(rows, tau) -> VerifyReport:
     # both routes on bijective rows with their derived tau
     cycle_ok, cycle_wit = _cycle(rows)
-    braid_wit = _braid_witness(rows, tau)
+    braid_wit = _braid(rows, tau)
     first = braid_wit if braid_wit is not None else cycle_wit
     return VerifyReport(
         True, cycle_ok, is_perm(_diagonal(rows)), braid_wit is None, True, first
@@ -193,9 +244,15 @@ def verify_solution(s) -> VerifyReport:
     """Run both verification routes on a raw table (or Solution).
 
     Route one derives tau and checks the braid relation of r, which is
-    involutive by construction of tau; route two checks the cycle
-    condition and bijectivity of the diagonal map. When rows are not
-    bijective nothing else is checkable and all flags are reported False.
+    involutive by construction of tau, in its composition form
+    sigma_x sigma_y = sigma_{sigma_x(y)} sigma_{tau_y(x)}
+    (Etingof-Schedler-Soloviev 1999; Rump 2005); route two checks the
+    cycle condition and bijectivity of the diagonal map. Each route is
+    O(n^2) row compositions, as bytes up to 256 points. Only when the
+    identity fails are triples scanned, up to the first point where it
+    fails, for the lexicographically first braid witness. When rows are
+    not bijective nothing else is checkable and all flags are reported
+    False.
     """
     rows = _rows(s)
     if not all(is_perm(row) for row in rows):

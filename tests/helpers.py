@@ -23,16 +23,10 @@ CYCLIC_LEVEL3 = [
 ]
 
 
-def oracle_is_solution(table) -> bool:
-    """Accept iff the table is an involutive non-degenerate solution.
-
-    Builds the pair map r explicitly and checks r.r = id plus the braid
-    relation on every triple, step by step.
-    """
+def _pair_map(table):
+    """The map r(x, y) = (sigma_x(y), tau_y(x)) as a dict, with tau derived
+    from sigma so that r is involutive; rows must be bijective."""
     n = len(table)
-    for row in table:
-        if sorted(row) != list(range(n)):
-            return False
     # inv[x][v] = y  with table[x][y] = v
     inv = [[0] * n for _ in range(n)]
     for x, row in enumerate(table):
@@ -43,9 +37,34 @@ def oracle_is_solution(table) -> bool:
         for y in range(n):
             u = table[x][y]
             r[(x, y)] = (u, inv[u][x])
+    return r
+
+
+def oracle_is_solution(table) -> bool:
+    """Accept iff the table is an involutive non-degenerate solution.
+
+    Builds the pair map r explicitly and checks r.r = id plus the braid
+    relation on every triple, step by step.
+    """
+    n = len(table)
+    for row in table:
+        if sorted(row) != list(range(n)):
+            return False
+    r = _pair_map(table)
     for pair, image in r.items():
         if r[image] != pair:
             return False
+    return oracle_braid_witness(table) is None
+
+
+def oracle_braid_witness(table):
+    """First (x, y, z) where the braid relation of r fails, or None.
+
+    Rows must be bijective. Applies r step by step to every triple, in
+    lexicographic order, and compares r23 r12 r23 with r12 r23 r12.
+    """
+    n = len(table)
+    r = _pair_map(table)
     for x in range(n):
         for y in range(n):
             for z in range(n):
@@ -58,8 +77,8 @@ def oracle_is_solution(table) -> bool:
                 i, j = r[(e, g)]
                 rhs = (i, j, h)
                 if lhs != rhs:
-                    return False
-    return True
+                    return (x, y, z)
+    return None
 
 
 def oracle_cycle_witness(table):

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from helpers import relabel
+from helpers import oracle_braid_witness, relabel, swap_corrupted
 from ybe_lab import cli
 from ybe_lab.aut import aut_c_closed_form, automorphism_group, is_aut_cyclic_c1nr
 from ybe_lab.classify import (
@@ -285,3 +285,27 @@ def test_criterion_14_aut_of_the_trivial_7_point_solution(tmp_path, capsys):
         assert cli.run(["aut", str(path)]) == 0
         out = capsys.readouterr().out
         assert out == '{"order":5040,"abelian":false,"invariant_factors":null,"cyclic":false}\n'
+
+
+def test_criterion_15_verify_a_256_point_file(tmp_path, capsys):
+    member = build_c((2, 128, 8))
+    g = list(range(member.n))
+    rng = random.Random(20261019)
+    rng.shuffle(g)
+    table = relabel(member.sigma, g)
+    path = tmp_path / "member.json"
+    path.write_text(json.dumps({"n": member.n, "sigma": table}))
+    bad = swap_corrupted(rng, table)
+    bad_path = tmp_path / "corrupted.json"
+    bad_path.write_text(json.dumps({"n": member.n, "sigma": bad}))
+    witness = oracle_braid_witness(bad)
+    assert witness is not None
+    flags = ("bijective_rows", "cycle_condition", "non_degenerate", "braid", "involutive")
+    with criterion("15 CLI verify of a 256 point file", 2.0):
+        assert cli.run(["verify", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == dict.fromkeys(flags, True) | {"first_failure": None, "ok": True}
+        assert cli.run(["verify", str(bad_path)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["first_failure"] == list(witness)
+        assert not out["braid"] and not out["ok"]

@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     LEVEL3,
     STALLED,
+    oracle_braid_witness,
     oracle_cycle_witness,
     oracle_is_solution,
     random_bijective_table,
@@ -17,6 +18,7 @@ from ybe_lab.classify import enumerate_family
 from ybe_lab.construct import build_c, build_nonabelian_example
 from ybe_lab.core import (
     Solution,
+    VerifyReport,
     check_cycle_condition,
     solution_from_json,
     solution_from_table,
@@ -91,10 +93,8 @@ def test_cycle_condition_witness():
     assert oracle_cycle_witness([[1, 0, 2], [0, 1, 2], [0, 1, 2]]) == (0, 1, 0)
 
 
-def test_cycle_witness_matches_brute_force():
-    # the scan covers a < b only; its witness must still be the first
-    # failing triple over all ordered (a, b, c)
-    rng = random.Random(20261017)
+def witness_pool(rng):
+    """Bijective tables on 4 to 24 points whose failures lie at many depths."""
     tables = [random_bijective_table(rng, n) for n in (4, 5, 6) for _ in range(200)]
     # rows that all fix 0, with sigma_0 the identity, pass every pair
     # (0, b), so these witnesses lie past the first row
@@ -105,6 +105,25 @@ def test_cycle_witness_matches_brute_force():
             tables.append([list(range(n))] + rows)
     tables += corrupted_members(rng, 24, 3)
     tables += [LEVEL3, STALLED]
+    return tables
+
+
+def reference_report(table):
+    """The VerifyReport that the independent oracles give a bijective table."""
+    braid = oracle_braid_witness(table)
+    cycle = oracle_cycle_witness(table)
+    diagonal = [list(row).index(a) for a, row in enumerate(table)]
+    first = braid if braid is not None else cycle
+    return VerifyReport(
+        True, cycle is None, sorted(diagonal) == list(range(len(table))),
+        braid is None, True, first,
+    )
+
+
+def test_cycle_witness_matches_brute_force():
+    # the scan covers a < b only; its witness must still be the first
+    # failing triple over all ordered (a, b, c)
+    tables = witness_pool(random.Random(20261017))
     firsts = set()
     for table in tables:
         ok, witness = check_cycle_condition(table)
@@ -113,6 +132,61 @@ def test_cycle_witness_matches_brute_force():
         if witness is not None:
             firsts.add(witness[0])
     assert firsts >= {0, 1, 2}
+
+
+def test_braid_route_matches_scalar_reference():
+    # the braid route accepts through the composition identity and takes
+    # its witness from the scalar scan only after the identity fails; its
+    # flag, witness and whole report must equal the independent oracles'
+    tables = [
+        [list(row) for row in t]
+        for t in itertools.product(itertools.permutations(range(3)), repeat=3)
+    ]
+    assert len(tables) == 216
+    rng = random.Random(20261019)
+    tables += witness_pool(rng)
+    firsts = set()
+    accepted = 0
+    for table in tables:
+        report = verify_solution(table)
+        expected = reference_report(table)
+        assert (report.braid, report.first_failure) == (
+            expected.braid, oracle_braid_witness(table)
+        )
+        assert report == expected
+        accepted += report.braid
+        if not report.braid:
+            firsts.add(report.first_failure[0])
+    assert accepted > 50 and firsts >= {0, 1, 2}
+    # both sides of the switch from bytes to itemgetter rows; an accepted
+    # large table is checked through report.ok, not the n^3 reference. A
+    # report shows the braid witness, so the cycle route's own witness is
+    # checked apart, also on random tables, whose rows do not commute.
+    for p in ((2, 128, 8), (1, 257, 0)):
+        member = build_c(p)
+        g = list(range(member.n))
+        rng.shuffle(g)
+        table = relabel(member.sigma, g)
+        assert verify_solution(table).ok
+        for bad in (swap_corrupted(rng, table), random_bijective_table(rng, member.n)):
+            report = verify_solution(bad)
+            assert not report.braid
+            assert report == reference_report(bad)
+            assert check_cycle_condition(bad) == (False, oracle_cycle_witness(bad))
+
+
+@pytest.mark.slow
+def test_braid_route_matches_scalar_reference_on_all_4_point_tables():
+    # exhaustive check, at this size, that the composition identity
+    # accepts exactly the tables whose braid relation holds
+    count = 0
+    for t in itertools.product(itertools.permutations(range(4)), repeat=4):
+        table = [list(row) for row in t]
+        report = verify_solution(table)
+        witness = oracle_braid_witness(table)
+        assert (report.braid, report.first_failure) == (witness is None, witness)
+        count += 1
+    assert count == 331776
 
 
 def test_t_map_values():
