@@ -13,6 +13,7 @@ import sys
 
 from .aut import automorphism_group
 from .classify import (
+    DEFAULT_ORACLE_BOUND,
     are_isomorphic,
     count_cyclic,
     count_family,
@@ -215,7 +216,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list family members, or all solutions")
     p.add_argument("n", type=_positive_int)
     p.add_argument("--exhaustive", action="store_true", help="brute-force all classes")
-    p.add_argument("--max-n", type=_positive_int, default=5, dest="max_n")
+    p.add_argument(
+        "--max-n", type=_positive_int, default=DEFAULT_ORACLE_BOUND, dest="max_n"
+    )
     p.add_argument(
         "--filter",
         default="",

@@ -42,9 +42,10 @@ tests/test_construct.py, test_retract.py and test_classify.py verify
 them (the docstrings of build_c, retract and exhaustive_enumerate name
 the tests).
 
-Each public entry point checks the shape and entries of a raw table once
-(_rows) and then runs the private kernels (_tau, _cycle, _braid) on the
-checked rows.
+_rows is the only reader of a raw table. In one pass it checks the shape,
+the entries and the bijectivity of every row and inverts each row once;
+every kernel (_tau, _cycle, _diagonal, _braid) then works on those rows
+and their shared inverses, and none re-checks or re-inverts a row.
 """
 
 import json
@@ -69,7 +70,11 @@ class Solution:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Outcome of every axiom check; first_failure is a braid or cycle witness triple."""
+    """Outcome of every axiom check.
+
+    On bijective rows the braid and cycle flags always agree (module
+    docstring), so first_failure is the braid witness triple, or None.
+    """
 
     bijective_rows: bool
     cycle_condition: bool
@@ -89,38 +94,58 @@ class VerifyReport:
         )
 
 
-def _rows(s) -> tuple[Perm, ...]:
-    """Accept a Solution or a raw table; return the sigma rows as tuples."""
+def _rows(s) -> tuple[tuple[Perm, ...], list[Perm]]:
+    """The one validating pass: (rows, inv) with inv[x] the inverse of sigma_x.
+
+    A raw table must be square with int entries in [0, n); the first bad
+    shape or entry anywhere in it raises ValueError, and only then does the
+    first row that repeats an entry raise NotBijectiveRow. A Solution is
+    not checked again, only inverted.
+    """
     if isinstance(s, Solution):
-        return s.sigma
+        return s.sigma, [inverse(row) for row in s.sigma]
     rows = tuple(tuple(row) for row in s)
     n = len(rows)
     if n == 0:
         raise ValueError("empty table")
-    for row in rows:
+    points = set(range(n))
+    inv = []
+    repeating = None
+    for x, row in enumerate(rows):
         if len(row) != n:
             raise ValueError("table is not square")
-        for v in row:
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                raise ValueError(f"entry {v!r} outside [0, {n})")
-    return rows
+        # exact ints filling range(n) form a bijective row; the type test
+        # comes first, since True and 1.0 equal 1 inside a set
+        bijective = set(map(type, row)) == {int} and set(row) == points
+        if not bijective:
+            for v in row:
+                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                    raise ValueError(f"entry {v!r} outside [0, {n})")
+            bijective = len(set(row)) == n
+        if repeating is None:
+            if bijective:
+                inv.append(inverse(row))
+            else:
+                repeating = x
+    if repeating is not None:
+        raise NotBijectiveRow(repeating)
+    return rows, inv
 
 
-def _tau(rows) -> tuple[Perm, ...]:
-    n = len(rows)
-    inv = [inverse(row) for row in rows]
-    return tuple(
-        tuple(inv[rows[x][y]][x] for x in range(n)) for y in range(n)
-    )
+def _tau(rows, inv) -> tuple[Perm, ...]:
+    # tau_y(x) = inv[sigma_x(y)][x], read down column y of sigma
+    return tuple([
+        tuple([inv[v][x] for x, v in enumerate(column)]) for column in zip(*rows)
+    ])
 
 
 def tau_from_sigma(s) -> tuple[Perm, ...]:
     """Derived right action: tau[y][x] = sigma^{-1}_{sigma_x(y)}(x).
 
-    Rows of sigma must be bijective. This is the unique table making
-    (sigma, tau) involutive.
+    This is the unique table making (sigma, tau) involutive. Raises
+    NotBijectiveRow for the first row that is not a bijection.
     """
-    return _tau(_rows(s))
+    return _tau(*_rows(s))
 
 
 def trusted_solution(rows) -> Solution:
@@ -129,18 +154,19 @@ def trusted_solution(rows) -> Solution:
     Nothing is checked: the rows must be a tuple of bijective row tuples
     forming a solution by a theorem (see the module docstring).
     """
-    return Solution(len(rows), rows, _tau(rows))
+    return Solution(len(rows), rows, _tau(rows, [inverse(row) for row in rows]))
 
 
 def check_cycle_condition(s) -> tuple[bool, tuple[int, int, int] | None]:
     """Evaluate the cycle condition on all triples.
 
     Returns (True, None) or (False, witness) with the lexicographically
-    first failing (a, b, c). Rows must be bijective. The two sides are
-    compared as whole rows, one composition pair for each a < b, so the
-    cost is O(n^2) compositions (bytes.translate up to 256 points).
+    first failing (a, b, c). Raises NotBijectiveRow for the first row that
+    is not a bijection. The two sides are compared as whole rows, one
+    composition pair for each a < b, so the cost is O(n^2) compositions
+    (bytes.translate up to 256 points).
     """
-    return _cycle(_rows(s))
+    return _cycle(*_rows(s))
 
 
 def _composer(n):
@@ -157,9 +183,8 @@ def _composer(n):
     return tuple, (lambda g: itemgetter(*g))
 
 
-def _cycle(rows) -> tuple[bool, tuple[int, int, int] | None]:
+def _cycle(rows, inv) -> tuple[bool, tuple[int, int, int] | None]:
     n = len(rows)
-    inv = [inverse(row) for row in rows]
     left, right = _composer(n)
     table = [left(qa) for qa in inv]
     # after[a](table[i]) = sigma^{-1}_i . sigma^{-1}_a
@@ -178,25 +203,27 @@ def _cycle(rows) -> tuple[bool, tuple[int, int, int] | None]:
     return True, None
 
 
-def _diagonal(rows) -> Perm:
-    # T(a) = sigma^{-1}_a(a), not checked for bijectivity
-    return tuple(row.index(a) for a, row in enumerate(rows))
+def _diagonal(inv) -> Perm | None:
+    # T(a) = sigma^{-1}_a(a), or None when T is not a bijection
+    img = tuple(inv[a][a] for a in range(len(inv)))
+    return img if is_perm(img) else None
 
 
 def t_map(s) -> Perm:
     """Diagonal map T(a) = sigma^{-1}_a(a); raises NotNonDegenerate if not bijective.
 
-    Rows must be bijective.
+    Raises NotBijectiveRow for the first row that is not a bijection.
     """
-    img = _diagonal(_rows(s))
-    if not is_perm(img):
+    img = _diagonal(_rows(s)[1])
+    if img is None:
         raise NotNonDegenerate("diagonal map is not a bijection")
     return img
 
 
-def _braid(rows, tau) -> tuple[int, int, int] | None:
-    # the composition form of the braid relation (module docstring); the
-    # scalar scan returns by the first triple where the identity fails
+def _braid(rows, inv) -> tuple[int, int, int] | None:
+    # the composition form of the braid relation (module docstring), with
+    # tau_y(x) = inv[sigma_x(y)][x]; the scalar scan, which returns by the
+    # first triple where the identity fails, is the only reader of a tau table
     n = len(rows)
     left, right = _composer(n)
     table = [left(row) for row in rows]
@@ -205,8 +232,9 @@ def _braid(rows, tau) -> tuple[int, int, int] | None:
     for x in range(n):
         row_x, table_x = rows[x], table[x]
         for y in range(n):
-            if after[y](table_x) != after[tau[y][x]](table[row_x[y]]):
-                return _braid_witness(rows, tau)
+            u = row_x[y]
+            if after[y](table_x) != after[inv[u][x]](table[u]):
+                return _braid_witness(rows, _tau(rows, inv))
     return None
 
 
@@ -230,34 +258,33 @@ def _braid_witness(rows, tau) -> tuple[int, int, int] | None:
     return None
 
 
-def _report(rows, tau) -> VerifyReport:
-    # both routes on bijective rows with their derived tau
-    cycle_ok, cycle_wit = _cycle(rows)
-    braid_wit = _braid(rows, tau)
-    first = braid_wit if braid_wit is not None else cycle_wit
-    return VerifyReport(
-        True, cycle_ok, is_perm(_diagonal(rows)), braid_wit is None, True, first
-    )
+def _report(rows, inv) -> VerifyReport:
+    # both routes on bijective rows, where they agree (VerifyReport)
+    wit = _braid(rows, inv)
+    diagonal_ok = _diagonal(inv) is not None
+    return VerifyReport(True, _cycle(rows, inv)[0], diagonal_ok, wit is None, True, wit)
 
 
 def verify_solution(s) -> VerifyReport:
     """Run both verification routes on a raw table (or Solution).
 
-    Route one derives tau and checks the braid relation of r, which is
-    involutive by construction of tau, in its composition form
+    Route one checks the braid relation of r, whose derived tau makes it
+    involutive by construction, in its composition form
     sigma_x sigma_y = sigma_{sigma_x(y)} sigma_{tau_y(x)}
     (Etingof-Schedler-Soloviev 1999; Rump 2005); route two checks the
     cycle condition and bijectivity of the diagonal map. Each route is
-    O(n^2) row compositions, as bytes up to 256 points. Only when the
-    identity fails are triples scanned, up to the first point where it
+    O(n^2) row compositions, as bytes up to 256 points. tau_y(x) is read
+    off the row inverses, and no tau table is built unless the identity
+    fails: then triples are scanned, up to the first point where it
     fails, for the lexicographically first braid witness. When rows are
     not bijective nothing else is checkable and all flags are reported
     False.
     """
-    rows = _rows(s)
-    if not all(is_perm(row) for row in rows):
+    try:
+        rows, inv = _rows(s)
+    except NotBijectiveRow:
         return VerifyReport(False, False, False, False, False, None)
-    return _report(rows, _tau(rows))
+    return _report(rows, inv)
 
 
 def solution_from_table(n: int, sigma) -> Solution:
@@ -271,15 +298,13 @@ def solution_from_table(n: int, sigma) -> Solution:
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("carrier size must be a positive integer")
-    rows = _rows(sigma)
-    if len(rows) != n:
-        raise ValueError(f"expected {n} rows, got {len(rows)}")
-    for x, row in enumerate(rows):
-        if not is_perm(row):
-            raise NotBijectiveRow(x)
-    if not (_cycle(rows)[0] and is_perm(_diagonal(rows))):
-        raise AxiomViolation(_report(rows, _tau(rows)))
-    return trusted_solution(rows)
+    sigma = tuple(sigma)
+    if len(sigma) != n:
+        raise ValueError(f"expected {n} rows, got {len(sigma)}")
+    rows, inv = _rows(sigma)
+    if not (_cycle(rows, inv)[0] and _diagonal(inv) is not None):
+        raise AxiomViolation(_report(rows, inv))
+    return Solution(n, rows, _tau(rows, inv))
 
 
 def solution_to_json(s: Solution) -> str:

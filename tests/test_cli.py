@@ -5,7 +5,8 @@ import pytest
 
 import golden
 from helpers import STALLED, forbid_group_closure
-from ybe_lab.cli import run
+from ybe_lab.classify import DEFAULT_ORACLE_BOUND
+from ybe_lab.cli import _build_parser, run
 from ybe_lab.construct import build_c, build_nonabelian_example
 from ybe_lab.core import solution_from_table, solution_to_json
 
@@ -258,6 +259,10 @@ def test_enumerate_unknown_filter(capsys):
     )
     assert code == 2
     assert "shiny" in err
+
+
+def test_max_n_default_is_the_oracle_bound():
+    assert _build_parser().parse_args(["enumerate", "1"]).max_n == DEFAULT_ORACLE_BOUND
 
 
 def test_enumerate_bound(capsys):

@@ -318,6 +318,26 @@ def test_solution_from_table_rejects_non_bijective_row():
     assert info.value.row == 1
 
 
+def test_one_pass_validation_precedence():
+    # one pass over the table: a bad entry anywhere beats a repeating row
+    # before it, and the first repeating row is the one reported
+    for bad in (3, -1, True, 1.0, "0"):
+        table = [[0, 0, 1], [0, 1, 2], [2, 1, bad]]
+        with pytest.raises(ValueError):
+            solution_from_table(3, table)
+        with pytest.raises(ValueError):
+            verify_solution(table)
+    table = [[0, 1, 2], [1, 1, 0], [2, 2, 2]]
+    with pytest.raises(NotBijectiveRow) as info:
+        solution_from_table(3, table)
+    assert info.value.row == 1
+    assert verify_solution(table) == VerifyReport(False, False, False, False, False, None)
+    for helper in (check_cycle_condition, tau_from_sigma, t_map):
+        with pytest.raises(NotBijectiveRow) as info:
+            helper([[0, 0], [1, 0]])
+        assert info.value.row == 0
+
+
 def test_solution_from_table_rejects_axiom_violations():
     with pytest.raises(AxiomViolation) as info:
         solution_from_table(2, [[0, 1], [1, 0]])

@@ -63,6 +63,15 @@ def referenced_names(tree):
     return names
 
 
+def functions_reading(tree, name):
+    """Top-level definitions (or "<module>") whose code reads the name."""
+    owners = set()
+    for node in tree.body:
+        if any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(node)):
+            owners.add(getattr(node, "name", "<module>"))
+    return owners
+
+
 def test_package_is_found():
     assert {"__init__", "aut", "classify", "cli", "core", "perm"} <= set(MODULES)
 
@@ -77,6 +86,14 @@ def test_no_private_names_cross_modules():
 
 def test_core_imports_only_errors_and_perm():
     assert {m for m, _ in package_imports(MODULES["core"])} <= {"errors", "perm"}
+
+
+def test_core_checks_and_inverts_rows_in_one_pass():
+    # _rows checks and inverts every row of a raw table, trusted_solution
+    # inverts rows the library built; is_perm tests only the diagonal map
+    core = MODULES["core"]
+    assert functions_reading(core, "inverse") == {"_rows", "trusted_solution"}
+    assert functions_reading(core, "is_perm") == {"_diagonal"}
 
 
 def test_only_perm_binds_group_closure():
