@@ -15,26 +15,22 @@ Equivalently, sigma satisfies the cycle condition
 
 for all a, b, with the diagonal map T(a) = sigma^{-1}_a(a) a bijection
 (Etingof-Schedler-Soloviev, Duke Math. J. 100, 1999; Rump, Adv. Math.
-193, 2005). verify_solution runs both characterizations and reports each
-flag, so the two routes cross-check each other on every call.
-
-Both routes are O(n^2) compositions of rows. For involutive r the braid
-relation has the composition form
-
-    sigma_x sigma_y = sigma_{sigma_x(y)} sigma_{tau_y(x)}    for all x, y
-
-(the same two references), whose two sides are the first components of
-the two triple composites. The braid route accepts on that identity.
-Where it first fails, at (x0, y0) and point z0, the braid relation
-fails at (x0, y0, z0), so the scalar scan that names the
-lexicographically first witness stops by that triple. Up to 256 points
-rows are composed as bytes through bytes.translate, above that through
-operator.itemgetter (_composer). tests/test_core.py checks the braid
-route against a scalar reference, exhaustively on 4 points under -m slow.
+193, 2005). For involutive r the braid relation has the composition form
+sigma_x sigma_y = sigma_u sigma_v for all x, y, with u = sigma_x(y) and
+v = tau_y(x) = sigma^{-1}_u(x). Inverted and put at (a, b) = (x, u), this
+is the cycle condition at (a, b), and (x, y) -> (x, sigma_x(y)) is a
+bijection of X x X. So one O(n^2) scan of row compositions (_cycle, as
+bytes.translate up to 256 points, operator.itemgetter above) sets both
+flags of a report. Only a rejected table builds tau, for the scalar scan
+that names the first triple where the braid relation fails; it stops by
+(x0, y0, z0) where the composition form first fails at (x0, y0), point
+z0. The tests own the cross-check (tests/test_core.py):
+test_braid_composition_is_the_cycle_condition_reindexed per pair, and
+test_braid_route_matches_scalar_reference (all 4-point tables under
+-m slow) against the scalar references in tests/helpers.py.
 
 solution_from_table checks the axioms on tables from outside the library
-(CLI files, direct calls). It accepts through the cycle route alone and
-builds the full two-route report only to reject;
+(CLI files, direct calls) through the same report as verify_solution;
 test_solution_from_table_agrees_with_verify checks that both decide
 alike. Tables the library builds are solutions by a theorem and become
 Solutions through trusted_solution, which checks nothing;
@@ -44,7 +40,7 @@ the tests).
 
 _rows is the only reader of a raw table. In one pass it checks the shape,
 the entries and the bijectivity of every row and inverts each row once;
-every kernel (_tau, _cycle, _diagonal, _braid) then works on those rows
+every kernel (_tau, _cycle, _diagonal) then works on those rows
 and their shared inverses, and none re-checks or re-inverts a row.
 """
 
@@ -72,8 +68,10 @@ class Solution:
 class VerifyReport:
     """Outcome of every axiom check.
 
-    On bijective rows the braid and cycle flags always agree (module
-    docstring), so first_failure is the braid witness triple, or None.
+    On bijective rows the braid relation is the cycle condition reindexed
+    by (a, b) = (x, sigma_x(y)) (module docstring), so one scan sets both
+    flags; first_failure is the lexicographically first triple where the
+    braid relation fails, or None.
     """
 
     bijective_rows: bool
@@ -220,24 +218,6 @@ def t_map(s) -> Perm:
     return img
 
 
-def _braid(rows, inv) -> tuple[int, int, int] | None:
-    # the composition form of the braid relation (module docstring), with
-    # tau_y(x) = inv[sigma_x(y)][x]; the scalar scan, which returns by the
-    # first triple where the identity fails, is the only reader of a tau table
-    n = len(rows)
-    left, right = _composer(n)
-    table = [left(row) for row in rows]
-    # after[y](table[x]) = sigma_x . sigma_y
-    after = [right(row) for row in rows]
-    for x in range(n):
-        row_x, table_x = rows[x], table[x]
-        for y in range(n):
-            u = row_x[y]
-            if after[y](table_x) != after[inv[u][x]](table[u]):
-                return _braid_witness(rows, _tau(rows, inv))
-    return None
-
-
 def _braid_witness(rows, tau) -> tuple[int, int, int] | None:
     # r(x,y) = (rows[x][y], tau[y][x]); compare the two triple composites
     # (id x r)(r x id)(id x r) and (r x id)(id x r)(r x id), rightmost
@@ -259,26 +239,24 @@ def _braid_witness(rows, tau) -> tuple[int, int, int] | None:
 
 
 def _report(rows, inv) -> VerifyReport:
-    # both routes on bijective rows, where they agree (VerifyReport)
-    wit = _braid(rows, inv)
-    diagonal_ok = _diagonal(inv) is not None
-    return VerifyReport(True, _cycle(rows, inv)[0], diagonal_ok, wit is None, True, wit)
+    # the one decision on bijective rows: the cycle scan decides the braid
+    # relation too (module docstring), and the scalar scan runs only to
+    # name the witness of a rejected table
+    ok = _cycle(rows, inv)[0]
+    wit = None if ok else _braid_witness(rows, _tau(rows, inv))
+    return VerifyReport(True, ok, _diagonal(inv) is not None, ok, True, wit)
 
 
 def verify_solution(s) -> VerifyReport:
-    """Run both verification routes on a raw table (or Solution).
+    """Check the axioms on a raw table (or Solution) and report each flag.
 
-    Route one checks the braid relation of r, whose derived tau makes it
-    involutive by construction, in its composition form
-    sigma_x sigma_y = sigma_{sigma_x(y)} sigma_{tau_y(x)}
-    (Etingof-Schedler-Soloviev 1999; Rump 2005); route two checks the
-    cycle condition and bijectivity of the diagonal map. Each route is
-    O(n^2) row compositions, as bytes up to 256 points. tau_y(x) is read
-    off the row inverses, and no tau table is built unless the identity
-    fails: then triples are scanned, up to the first point where it
-    fails, for the lexicographically first braid witness. When rows are
-    not bijective nothing else is checkable and all flags are reported
-    False.
+    One cycle scan of O(n^2) row compositions sets cycle_condition and
+    braid: with the derived tau, the braid relation's composition form
+    sigma_x sigma_y = sigma_{sigma_x(y)} sigma_{tau_y(x)} is the cycle
+    condition reindexed by (a, b) = (x, sigma_x(y)) (module docstring).
+    A tau table is built only when the scan fails, to find the
+    lexicographically first braid witness. When rows are not bijective
+    nothing else is checkable and all flags are reported False.
     """
     try:
         rows, inv = _rows(s)
@@ -292,18 +270,20 @@ def solution_from_table(n: int, sigma) -> Solution:
 
     Accepts when the rows are bijective, the cycle condition holds and the
     diagonal map T is a bijection, which for the derived tau is equivalent
-    to the braid relation plus involutivity. Raises NotBijectiveRow for
-    the first non-bijective row, and AxiomViolation carrying the full
-    two-route report of verify_solution when any axiom fails.
+    to the braid relation plus involutivity; the decision is the report
+    of verify_solution, from one cycle scan. Raises ValueError for a bool
+    or non-positive n, NotBijectiveRow for the first non-bijective row,
+    and AxiomViolation carrying that report when any axiom fails.
     """
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("carrier size must be a positive integer")
     sigma = tuple(sigma)
     if len(sigma) != n:
         raise ValueError(f"expected {n} rows, got {len(sigma)}")
     rows, inv = _rows(sigma)
-    if not (_cycle(rows, inv)[0] and _diagonal(inv) is not None):
-        raise AxiomViolation(_report(rows, inv))
+    report = _report(rows, inv)
+    if not report.ok:
+        raise AxiomViolation(report)
     return Solution(n, rows, _tau(rows, inv))
 
 
@@ -316,7 +296,7 @@ def solution_to_json(s: Solution) -> str:
 
 
 def table_from_json(text: str) -> tuple[int, list]:
-    """Parse solution JSON into (n, sigma): an int "n" and n row lists.
+    """Parse solution JSON into (n, sigma): an int "n" (not a bool) and n row lists.
 
     Raises ValueError, also for JSON nested too deeply to parse; the
     entries are checked by whoever takes the table.
@@ -329,7 +309,7 @@ def table_from_json(text: str) -> tuple[int, list]:
         raise ValueError('expected an object with "n" and "sigma"')
     n, sigma = data["n"], data["sigma"]
     rows_ok = isinstance(sigma, list) and all(isinstance(row, list) for row in sigma)
-    if not isinstance(n, int) or not rows_ok or len(sigma) != n:
+    if isinstance(n, bool) or not isinstance(n, int) or not rows_ok or len(sigma) != n:
         raise ValueError("sigma must be an n x n table")
     return n, sigma
 

@@ -81,6 +81,7 @@ MALFORMED = {
     "non-int-entry": '{"n":2,"sigma":[[1,"0"],[1,0]]}',
     "empty-table": '{"n":0,"sigma":[]}',
     "row-not-a-list": '{"n":2,"sigma":[1,0]}',
+    "bool-n": '{"n":true,"sigma":[[0]]}',
     "deeply-nested": "[" * 100_000 + "]" * 100_000,
 }
 

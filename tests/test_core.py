@@ -32,6 +32,7 @@ from ybe_lab.errors import (
     NotBijectiveRow,
     NotNonDegenerate,
 )
+from ybe_lab.perm import compose, inverse
 
 # two valid 4-point tables used throughout: the cyclic member with twist
 # and the one with a rank-two permutation group
@@ -175,6 +176,32 @@ def test_braid_route_matches_scalar_reference():
             assert check_cycle_condition(bad) == (False, oracle_cycle_witness(bad))
 
 
+def test_braid_composition_is_the_cycle_condition_reindexed():
+    # verify_solution decides the braid relation through the cycle scan
+    # alone; that rests on this identity: the composition form at (x, y)
+    # holds exactly when the cycle condition holds at (a, b) = (x, u)
+    tables = [
+        [list(row) for row in t]
+        for t in itertools.product(itertools.permutations(range(3)), repeat=3)
+    ]
+    tables += witness_pool(random.Random(20261020))
+    seen = set()
+    for table in tables:
+        n = len(table)
+        sigma = [tuple(row) for row in table]
+        q = [inverse(row) for row in sigma]
+        tau = tau_from_sigma(table)
+        for x in range(n):
+            for y in range(n):
+                u, v = sigma[x][y], tau[y][x]
+                braid = compose(sigma[x], sigma[y]) == compose(sigma[u], sigma[v])
+                a, b = x, u
+                cycle = compose(q[q[a][b]], q[a]) == compose(q[q[b][a]], q[b])
+                assert braid == cycle, (table, x, y)
+                seen.add(braid)
+    assert seen == {True, False}
+
+
 @pytest.mark.slow
 def test_braid_route_matches_scalar_reference_on_all_4_point_tables():
     # exhaustive check, at this size, that the composition identity
@@ -310,6 +337,13 @@ def test_solution_from_table_rejects_bad_shapes():
         solution_from_table(2, [[0, 1], [True, 1]])
     with pytest.raises(ValueError):
         solution_from_table(0, [])
+
+
+def test_solution_from_table_rejects_bool_n():
+    # True == 1, but a bool n is no carrier size, as a bool entry is no
+    # point; the JSON reader's check is in test_cli.py's MALFORMED
+    with pytest.raises(ValueError):
+        solution_from_table(True, [[0]])
 
 
 def test_solution_from_table_rejects_non_bijective_row():

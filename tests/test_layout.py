@@ -96,6 +96,14 @@ def test_core_checks_and_inverts_rows_in_one_pass():
     assert functions_reading(core, "is_perm") == {"_diagonal"}
 
 
+def test_core_decides_through_one_composition_scan():
+    # the braid relation is the cycle condition reindexed, so only _cycle
+    # composes rows, and only the cycle helper and the shared report run it
+    core = MODULES["core"]
+    assert functions_reading(core, "_composer") == {"_cycle"}
+    assert functions_reading(core, "_cycle") == {"check_cycle_condition", "_report"}
+
+
 def test_only_perm_binds_group_closure():
     assert "group_closure" in top_level_names(MODULES["perm"])
     for name, tree in MODULES.items():
