@@ -8,6 +8,8 @@ parameters), 2 usage or input errors.
 """
 
 import argparse
+import dataclasses
+import functools
 import json
 import sys
 
@@ -65,16 +67,7 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     _, sigma = table_from_json(_read_source(args.file))
     report = verify_solution(sigma)
-    out = {
-        "bijective_rows": report.bijective_rows,
-        "cycle_condition": report.cycle_condition,
-        "non_degenerate": report.non_degenerate,
-        "braid": report.braid,
-        "involutive": report.involutive,
-        "first_failure": list(report.first_failure) if report.first_failure else None,
-        "ok": report.ok,
-    }
-    _print_json(out)
+    _print_json({**dataclasses.asdict(report), "ok": report.ok})
     _note(args, "all axioms hold" if report.ok else "axiom failure")
     return 0 if report.ok else 1
 
@@ -175,6 +168,7 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ybe-lab",

@@ -38,10 +38,10 @@ tests/test_construct.py, test_retract.py and test_classify.py verify
 them (the docstrings of build_c, retract and exhaustive_enumerate name
 the tests).
 
-_rows is the only reader of a raw table. In one pass it checks the shape,
-the entries and the bijectivity of every row and inverts each row once;
-every kernel (_tau, _cycle, _diagonal) then works on those rows
-and their shared inverses, and none re-checks or re-inverts a row.
+_rows is the only validator of a table, and a Solution's rows are checked
+like any table's. In one pass it checks the shape, the entries and the
+bijectivity of every row and inverts each row once; every kernel (_tau,
+_cycle, _diagonal) then works on those rows and their shared inverses.
 """
 
 import json
@@ -92,17 +92,31 @@ class VerifyReport:
         )
 
 
-def _rows(s) -> tuple[tuple[Perm, ...], list[Perm]]:
+_NO_N = object()  # _rows takes n from the table itself
+
+
+def _check_n(n, count) -> None:
+    """The one rule for n: an int, not a bool, equal to the number of rows."""
+    if isinstance(n, bool) or not isinstance(n, int) or n != count:
+        raise ValueError(f"n must be an int equal to the row count {count}")
+
+
+def _rows(s, n=_NO_N) -> tuple[tuple[Perm, ...], list[Perm]]:
     """The one validating pass: (rows, inv) with inv[x] the inverse of sigma_x.
 
-    A raw table must be square with int entries in [0, n); the first bad
-    shape or entry anywhere in it raises ValueError, and only then does the
-    first row that repeats an entry raise NotBijectiveRow. A Solution is
-    not checked again, only inverted.
+    A Solution's rows are checked like any table's. Table and rows must be
+    sequences, n (if given) must pass _check_n, and entries follow is_perm's
+    rule in [0, n); the first bad shape or entry anywhere raises ValueError,
+    and only then does the first row that repeats an entry raise NotBijectiveRow.
     """
     if isinstance(s, Solution):
-        return s.sigma, [inverse(row) for row in s.sigma]
-    rows = tuple(tuple(row) for row in s)
+        s = s.sigma
+    try:
+        rows = tuple(tuple(row) for row in s)
+    except TypeError:
+        raise ValueError("sigma must be a sequence of rows") from None
+    if n is not _NO_N:
+        _check_n(n, len(rows))
     n = len(rows)
     if n == 0:
         raise ValueError("empty table")
@@ -248,7 +262,7 @@ def _report(rows, inv) -> VerifyReport:
 
 
 def verify_solution(s) -> VerifyReport:
-    """Check the axioms on a raw table (or Solution) and report each flag.
+    """Check the axioms on a table and report each flag (a Solution's rows too).
 
     One cycle scan of O(n^2) row compositions sets cycle_condition and
     braid: with the derived tau, the braid relation's composition form
@@ -271,16 +285,11 @@ def solution_from_table(n: int, sigma) -> Solution:
     Accepts when the rows are bijective, the cycle condition holds and the
     diagonal map T is a bijection, which for the derived tau is equivalent
     to the braid relation plus involutivity; the decision is the report
-    of verify_solution, from one cycle scan. Raises ValueError for a bool
-    or non-positive n, NotBijectiveRow for the first non-bijective row,
-    and AxiomViolation carrying that report when any axiom fails.
+    of verify_solution, from one cycle scan. Raises ValueError for a bad
+    table or n (_check_n), NotBijectiveRow for the first non-bijective
+    row, and AxiomViolation carrying that report when any axiom fails.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError("carrier size must be a positive integer")
-    sigma = tuple(sigma)
-    if len(sigma) != n:
-        raise ValueError(f"expected {n} rows, got {len(sigma)}")
-    rows, inv = _rows(sigma)
+    rows, inv = _rows(sigma, n)
     report = _report(rows, inv)
     if not report.ok:
         raise AxiomViolation(report)
@@ -296,22 +305,19 @@ def solution_to_json(s: Solution) -> str:
 
 
 def table_from_json(text: str) -> tuple[int, list]:
-    """Parse solution JSON into (n, sigma): an int "n" (not a bool) and n row lists.
+    """Parse solution JSON into (n, sigma): an object with "n" and a list "sigma".
 
-    Raises ValueError, also for JSON nested too deeply to parse; the
-    entries are checked by whoever takes the table.
+    Checks only what JSON adds, n under _check_n; whoever takes the table
+    checks its rows. Raises ValueError, also for JSON nested too deeply.
     """
     try:
         data = json.loads(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
-    if not isinstance(data, dict) or "n" not in data or "sigma" not in data:
-        raise ValueError('expected an object with "n" and "sigma"')
-    n, sigma = data["n"], data["sigma"]
-    rows_ok = isinstance(sigma, list) and all(isinstance(row, list) for row in sigma)
-    if isinstance(n, bool) or not isinstance(n, int) or not rows_ok or len(sigma) != n:
-        raise ValueError("sigma must be an n x n table")
-    return n, sigma
+    if not isinstance(data, dict) or not isinstance(data.get("sigma"), list):
+        raise ValueError('expected an object with "n" and a list "sigma"')
+    _check_n(data.get("n"), len(data["sigma"]))
+    return data["n"], data["sigma"]
 
 
 def solution_from_json(text: str) -> Solution:

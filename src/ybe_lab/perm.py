@@ -31,11 +31,11 @@ def identity(n: int) -> Perm:
 
 
 def is_perm(img) -> bool:
-    """True iff img is the image array of a permutation of {0..n-1}."""
+    """True iff img permutes {0..n-1}: int entries, never bools (core._rows's rule)."""
     n = len(img)
     seen = [False] * n
     for v in img:
-        if not isinstance(v, int) or not 0 <= v < n or seen[v]:
+        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n or seen[v]:
             return False
         seen[v] = True
     return True

@@ -299,6 +299,19 @@ def test_verbose_notes_on_stderr(capsys):
     assert "family member" in err
 
 
+def test_commands_in_sequence_share_no_state(capsys, tmp_path):
+    # the parser is built once per process; no parse may leave a trace
+    path = write_solution(tmp_path, "s.json", build_c((1, 4, 2)))
+    code, out, _ = invoke(capsys, "aut", "--elements", path)
+    assert code == 0 and "elements" in json.loads(out)
+    code, out, _ = invoke(capsys, "aut", path)
+    assert code == 0 and "elements" not in json.loads(out)
+    code, _, err = invoke(capsys, "--verbose", "construct", "1", "2", "0")
+    assert code == 0 and err
+    code, _, err = invoke(capsys, "construct", "1", "2", "0")
+    assert code == 0 and err == ""
+
+
 def test_golden_outputs(tmp_path):
     # stdout and exit codes of construct/verify/classify/iso/aut, pinned
     # by tests/data/golden_cli.json (see tests/golden.py)

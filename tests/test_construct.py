@@ -161,6 +161,12 @@ def test_pi_isotope_input_checks():
         pi_isotope(base, (0, 1, 2))
 
 
+def test_pi_isotope_rejects_bool_entries():
+    # perm.is_perm follows the table rule: a bool is no point
+    with pytest.raises(ValueError):
+        pi_isotope(build_c((1, 2, 0)), (True, False))
+
+
 def test_pi_isotope_needs_2_reductive_base():
     with pytest.raises(NotTwoReductive):
         pi_isotope(build_c((1, 4, 2)), (0, 1, 2, 3))

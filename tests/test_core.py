@@ -32,7 +32,7 @@ from ybe_lab.errors import (
     NotBijectiveRow,
     NotNonDegenerate,
 )
-from ybe_lab.perm import compose, inverse
+from ybe_lab.perm import compose, inverse, is_perm
 
 # two valid 4-point tables used throughout: the cyclic member with twist
 # and the one with a rank-two permutation group
@@ -136,9 +136,9 @@ def test_cycle_witness_matches_brute_force():
 
 
 def test_braid_route_matches_scalar_reference():
-    # the braid route accepts through the composition identity and takes
-    # its witness from the scalar scan only after the identity fails; its
-    # flag, witness and whole report must equal the independent oracles'
+    # one cycle scan sets the braid flag, and the scalar scan names the
+    # witness only after that scan fails; flag, witness and whole report
+    # must equal the independent oracles'
     tables = [
         [list(row) for row in t]
         for t in itertools.product(itertools.permutations(range(3)), repeat=3)
@@ -161,7 +161,7 @@ def test_braid_route_matches_scalar_reference():
     assert accepted > 50 and firsts >= {0, 1, 2}
     # both sides of the switch from bytes to itemgetter rows; an accepted
     # large table is checked through report.ok, not the n^3 reference. A
-    # report shows the braid witness, so the cycle route's own witness is
+    # report shows the braid witness, so check_cycle_condition's witness is
     # checked apart, also on random tables, whose rows do not commute.
     for p in ((2, 128, 8), (1, 257, 0)):
         member = build_c(p)
@@ -267,18 +267,6 @@ def test_verify_agrees_with_independent_oracle():
         assert report.ok == oracle_is_solution(table)
 
 
-def test_both_verification_routes_agree():
-    # braid plus involutivity holds exactly when the cycle condition and
-    # the diagonal bijection do
-    rng = random.Random(99)
-    for _ in range(1000):
-        table = random_bijective_table(rng, 3)
-        report = verify_solution(table)
-        route_one = report.braid and report.involutive
-        route_two = report.cycle_condition and report.non_degenerate
-        assert route_one == route_two
-
-
 def test_cycle_condition_implies_both_routes():
     # a finite cycle set is non-degenerate (Rump), so on every bijective
     # 3-point table the cycle condition alone gives a solution
@@ -293,8 +281,8 @@ def test_cycle_condition_implies_both_routes():
 
 
 def test_solution_from_table_agrees_with_verify():
-    # solution_from_table accepts through the cycle route alone; it must
-    # decide exactly as the two-route report and carry it on rejection
+    # solution_from_table decides through verify_solution's report; it must
+    # accept exactly the tables that report accepts and carry it on rejection
     tables = [
         [list(row) for row in t]
         for t in itertools.product(itertools.permutations(range(3)), repeat=3)
@@ -370,6 +358,56 @@ def test_one_pass_validation_precedence():
         with pytest.raises(NotBijectiveRow) as info:
             helper([[0, 0], [1, 0]])
         assert info.value.row == 0
+
+
+def test_a_solution_is_checked_like_any_table():
+    # _rows trusts no type: a directly built Solution with a repeating row
+    # is rejected as its raw table would be
+    bad = Solution(2, ((0, 0), (0, 1)), ())
+    assert verify_solution(bad) == VerifyReport(False, False, False, False, False, None)
+    for helper in (check_cycle_condition, tau_from_sigma, t_map):
+        with pytest.raises(NotBijectiveRow) as info:
+            helper(bad)
+        assert info.value.row == 0
+    with pytest.raises(ValueError):
+        verify_solution(Solution(1, ((True,),), ()))
+    good = solution_from_table(4, TWIST4)
+    assert verify_solution(good).ok and t_map(good) == t_map(TWIST4)
+
+
+def test_tables_and_rows_that_are_not_sequences_raise_value_error():
+    for call in (
+        lambda: verify_solution([5]),
+        lambda: verify_solution(None),
+        lambda: check_cycle_condition([[0, 1], None]),
+        lambda: solution_from_table(1, [7]),
+        lambda: solution_from_table(1, 7),
+        lambda: solution_from_table(2, [[0, 0], 1]),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_solution_from_table_checks_n_by_one_rule():
+    # n is an int, not a bool, equal to the number of rows; no value of n
+    # stands for "take it from the table"
+    for n in (None, True, 1.0, "1", 0, 2):
+        with pytest.raises(ValueError):
+            solution_from_table(n, [[0]])
+
+
+def test_is_perm_agrees_with_table_validation():
+    # perm.is_perm and core._rows's fast path apply one entry rule (ints,
+    # never bools); a row is a permutation exactly when the table made of
+    # copies of it has bijective rows, and a bad entry raises ValueError
+    entries = (0, 1, 2, -1, True, False, 1.0, "0", None)
+    for length in (1, 2, 3):
+        for row in itertools.product(entries, repeat=length):
+            try:
+                bijective = verify_solution([row] * length).bijective_rows
+            except ValueError:
+                bijective = False
+            assert is_perm(row) == bijective, row
 
 
 def test_solution_from_table_rejects_axiom_violations():

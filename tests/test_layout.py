@@ -64,10 +64,17 @@ def referenced_names(tree):
 
 
 def functions_reading(tree, name):
-    """Top-level definitions (or "<module>") whose code reads the name."""
+    """Top-level definitions (or "<module>") whose code reads the name
+    outside type annotations."""
     owners = set()
     for node in tree.body:
-        if any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(node)):
+        hints = set()
+        for n in ast.walk(node):
+            for hint in (getattr(n, "returns", None), getattr(n, "annotation", None)):
+                if hint is not None:
+                    hints.update(map(id, ast.walk(hint)))
+        if any(isinstance(n, ast.Name) and n.id == name and id(n) not in hints
+               for n in ast.walk(node)):
             owners.add(getattr(node, "name", "<module>"))
     return owners
 
@@ -102,6 +109,12 @@ def test_core_decides_through_one_composition_scan():
     core = MODULES["core"]
     assert functions_reading(core, "_composer") == {"_cycle"}
     assert functions_reading(core, "_cycle") == {"check_cycle_condition", "_report"}
+
+
+def test_core_reads_bool_only_in_the_table_and_n_rules():
+    # one rule for entries (_rows) and one for n (_check_n): no other
+    # path in core decides on its own what a valid table is
+    assert functions_reading(MODULES["core"], "bool") == {"_rows", "_check_n"}
 
 
 def test_only_perm_binds_group_closure():

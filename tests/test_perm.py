@@ -37,6 +37,14 @@ def test_is_perm():
     assert not is_perm((0, 1, "2"))
 
 
+def test_is_perm_rejects_bools():
+    # the table rule: True == 1, but a bool is no point
+    assert not is_perm((1, False))
+    assert not is_perm((True, 0))
+    with pytest.raises(ValueError):
+        group_closure([(True, False)])
+
+
 def test_compose_applies_right_factor_first():
     p = (1, 2, 0)
     q = (0, 2, 1)
