@@ -244,12 +244,12 @@ def enumerate_family(n: int) -> list[CParams]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    t = n // square_part(n)
+    k = square_part(n)
+    t = n // k
     out = []
-    for n1 in divisors(n):
+    # n1^2 divides n exactly when n1 divides k
+    for n1 in divisors(k):
         n2 = n // n1
-        if n2 % n1:
-            continue
         out.extend(CParams(n1, n2, r) for r in range(0, n2 // n1, t // n1))
     return out
 

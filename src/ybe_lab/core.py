@@ -45,6 +45,7 @@ _cycle, _diagonal) then works on those rows and their shared inverses.
 """
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -105,16 +106,16 @@ def _rows(s, n=_NO_N) -> tuple[tuple[Perm, ...], list[Perm]]:
     """The one validating pass: (rows, inv) with inv[x] the inverse of sigma_x.
 
     A Solution's rows are checked like any table's. Table and rows must be
-    sequences, n (if given) must pass _check_n, and entries follow is_perm's
-    rule in [0, n); the first bad shape or entry anywhere raises ValueError,
+    sequences (collections.abc.Sequence: no sets, dicts or generators), n
+    (if given) must pass _check_n, and entries follow is_perm's rule in
+    [0, n); the first bad shape or entry anywhere raises ValueError,
     and only then does the first row that repeats an entry raise NotBijectiveRow.
     """
     if isinstance(s, Solution):
         s = s.sigma
-    try:
-        rows = tuple(tuple(row) for row in s)
-    except TypeError:
-        raise ValueError("sigma must be a sequence of rows") from None
+    if not isinstance(s, Sequence) or not all(isinstance(row, Sequence) for row in s):
+        raise ValueError("sigma must be a sequence of rows")
+    rows = tuple(tuple(row) for row in s)
     if n is not _NO_N:
         _check_n(n, len(rows))
     n = len(rows)

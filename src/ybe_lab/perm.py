@@ -9,16 +9,17 @@ oracle's filters read orbits and all_commute off the distinct rows, and
 aut.automorphism_group builds its groups from the closed form or from
 the automorphisms the search yields, stopping past DEFAULT_MAX_CLOSURE
 of them. Closure remains for direct calls and as the tests' reference.
-The permutation group and the automorphism group of an eligible
-solution are both regular, with n elements on n points; is_abelian
-tests regular groups at one point.
+is_abelian and invariant_factors read group.elements, which must be the
+whole group (as group_closure and aut.automorphism_group give it), and
+neither loops over pairs of elements.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .errors import DegreeMismatch, InternalError, NotAbelian, SizeLimitExceeded
+from .errors import DegreeMismatch, NotAbelian, SizeLimitExceeded
 from .util import factorize
 
 Perm = tuple[int, ...]
@@ -170,20 +171,30 @@ def all_commute(perms) -> bool:
 
 
 def is_abelian(group: PermGroup) -> bool:
-    """Generator pairs commuting is enough.
+    """True iff the group commutes; elements must be the whole group.
 
-    In a regular group g.h and h.g are both elements, and an element is
-    fixed by its image of 0, so there g.h = h.g iff g(h(0)) = h(g(0)).
+    A transitive abelian group is regular, and a group embeds in the
+    product of its actions on its orbits. So at the least point x of each
+    orbit, no element may fix x and move another point of the orbit, and
+    one element per image of x then stands for the action there.
+    O(|G| n + the sum of |orbit|^2), with no loop over pairs of elements.
     """
-    gens = group.generators
-    if not is_regular(group):
-        return all_commute(gens)
-    at0 = [g[0] for g in gens]
-    for i, g in enumerate(gens):
-        g0 = at0[i]
-        for j in range(i + 1, len(gens)):
-            if g[at0[j]] != gens[j][g0]:
+    for orbit in group.orbit_partition:
+        if len(orbit) < 2:
+            continue
+        x = orbit[0]
+        reps = {}
+        for g in group.elements:
+            if g[x] == x and any(g[y] != y for y in orbit):
                 return False
+            reps.setdefault(g[x], g)
+        # reps[y] sends x to y, so reps[y] . reps[z] sends it to reps[y][z]:
+        # the representatives commute iff that matrix on the orbit is symmetric
+        rows = [reps[y] for y in orbit]
+        if len(orbit) < group.degree:  # read the rows on the orbit alone
+            rows = list(map(itemgetter(*orbit), rows))
+        if rows != list(zip(*rows)):
+            return False
     return True
 
 
@@ -198,68 +209,30 @@ def is_cyclic(group: PermGroup) -> bool:
     return any(order(p) == target for p in group.elements)
 
 
-def _ilog(count: int, p: int) -> int:
-    e = 0
-    while count > 1:
-        if count % p:
-            raise InternalError("subgroup count is not a prime power")
-        count //= p
-        e += 1
-    return e
-
-
-def _sylow_type(orders, p: int) -> list[int]:
-    # Exponent partition (e1 >= e2 >= ...) of the Sylow p-subgroup of an
-    # abelian group, recovered from how many elements have order dividing
-    # p^k for each k.
-    pvals = []
-    for o in orders:
-        j = 0
-        while o % p == 0:
-            o //= p
-            j += 1
-        if o == 1:
-            pvals.append(j)
-    logs = [0]
-    k = 1
-    while True:
-        cnt = sum(1 for j in pvals if j <= k)
-        logs.append(_ilog(cnt, p))
-        if cnt == len(pvals):
-            break
-        k += 1
-    parts_ge = [logs[k] - logs[k - 1] for k in range(1, len(logs))]
-    exps = []
-    j = 1
-    while True:
-        e_j = sum(1 for m in parts_ge if m >= j)
-        if e_j == 0:
-            break
-        exps.append(e_j)
-        j += 1
-    return exps
-
-
 def invariant_factors(group: PermGroup) -> tuple[int, ...]:
     """Invariant factor decomposition (d1 | d2 | ... | dt, all >= 2).
 
-    The trivial group yields the empty tuple. Raises NotAbelian on
-    non-abelian input.
+    elements must be the whole group. For each prime p, the number N(p^k)
+    of elements of order dividing p^k satisfies
+    N(p^k) / N(p^(k-1)) = p^(e_k), where e_k counts the factors divisible
+    by p^k; so the j-th largest factor takes one p from each k with
+    e_k > j. The trivial group yields the empty tuple. Raises NotAbelian
+    on non-abelian input.
     """
     if not is_abelian(group):
         raise NotAbelian("invariant factors need an abelian group")
-    m = len(group.elements)
-    if m == 1:
-        return ()
-    orders = [order(p) for p in group.elements]
-    types = {p: _sylow_type(orders, p) for p in factorize(m)}
-    depth = max(len(v) for v in types.values())
-    chain = []
-    for idx in range(depth):
-        f = 1
-        for p, exps in types.items():
-            if idx < len(exps):
-                f *= p ** exps[idx]
-        chain.append(f)
-    chain.reverse()
-    return tuple(chain)
+    counts = Counter(order(g) for g in group.elements)
+    # largest factor first; there are at most log2 |G| of them
+    factors = [1] * len(group.elements).bit_length()
+    for p, a in factorize(len(group.elements)).items():
+        q = below = 1
+        for _ in range(a):
+            q *= p
+            at = below + counts[q]
+            ratio, j = at // below, 0
+            while ratio > 1:
+                factors[j] *= p
+                ratio //= p
+                j += 1
+            below = at
+    return tuple(f for f in reversed(factors) if f > 1)

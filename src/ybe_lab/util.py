@@ -1,5 +1,7 @@
 """Small integer helpers shared across modules."""
 
+import math
+
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}."""
@@ -31,8 +33,21 @@ def divisors(n: int) -> list[int]:
 
 
 def square_part(n: int) -> int:
-    """Largest k with k*k dividing n."""
+    """Largest k with k*k dividing n.
+
+    Trial division runs only up to the cube root: what remains then has
+    at most two prime factors, so it adds to k only as a prime square.
+    """
+    if n < 1:
+        raise ValueError("square_part needs a positive integer")
     k = 1
-    for p, e in factorize(n).items():
-        k *= p ** (e // 2)
-    return k
+    d = 2
+    while d * d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        k *= d ** (e // 2)
+        d += 1 if d == 2 else 2
+    r = math.isqrt(n)
+    return k * r if r * r == n else k

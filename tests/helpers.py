@@ -6,6 +6,7 @@ not against themselves. The one exception is forbid_group_closure, a
 guard that makes any group closure inside the library fail a test.
 """
 
+import math
 import random
 import sys
 
@@ -126,6 +127,32 @@ def aut_by_filtering(sigma):
         if relabel(sigma, g) == [list(row) for row in sigma]:
             out.append(g)
     return out
+
+
+def cycle_generators(rng: random.Random, lengths, fixed: int):
+    """One single-cycle permutation per length; the cycles are disjoint, on
+    randomly chosen points of sum(lengths) + fixed, the rest fixed by all."""
+    n = sum(lengths) + fixed
+    points = rng.sample(range(n), n)
+    gens = []
+    for length in lengths:
+        cycle, points = points[:length], points[length:]
+        g = list(range(n))
+        for i, x in enumerate(cycle):
+            g[x] = cycle[(i + 1) % length]
+        gens.append(tuple(g))
+    return gens
+
+
+def invariant_factors_of_cycles(lengths):
+    """Invariant factors of the group that disjoint cycles of these lengths
+    generate, the product of cyclic groups of these orders: the gcd/lcm rule
+    replaces each pair by (gcd, lcm) until each divides the next."""
+    fs = list(lengths)
+    for i in range(len(fs)):
+        for j in range(i + 1, len(fs)):
+            fs[i], fs[j] = math.gcd(fs[i], fs[j]), math.lcm(fs[i], fs[j])
+    return tuple(f for f in fs if f > 1)
 
 
 def random_bijective_table(rng: random.Random, n: int):

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -185,6 +186,24 @@ def test_aut_output(capsys, tmp_path):
     }
 
 
+def test_aut_of_a_permutation_solution_in_bounded_time(capsys, tmp_path):
+    # sigma_x = rho for every x, with one cycle of each length 2, 3, 5, 7
+    # and 11: Aut is the centralizer of rho, cyclic of order 2310 on five
+    # orbits, which the search lists; the abelian test on those 2310
+    # elements must not loop over pairs of them
+    rho, start = [], 0
+    for length in (2, 3, 5, 7, 11):
+        rho += [start + (i + 1) % length for i in range(length)]
+        start += length
+    path = write_solution(tmp_path, "p.json", solution_from_table(28, [rho] * 28))
+    began = time.perf_counter()
+    code, out, _ = invoke(capsys, "aut", path)
+    elapsed = time.perf_counter() - began
+    assert code == 0
+    assert out == '{"order":2310,"abelian":true,"invariant_factors":[2310],"cyclic":true}\n'
+    assert elapsed < 1.5, f"aut took {elapsed:.2f}s"
+
+
 def test_aut_elements_flag(capsys, tmp_path):
     path = write_solution(tmp_path, "s.json", build_c((1, 4, 2)))
     code, out, _ = invoke(capsys, "aut", path, "--elements")
@@ -205,6 +224,18 @@ def test_count(capsys):
     code, out, _ = invoke(capsys, "count", "16")
     assert code == 0
     assert json.loads(out) == {"n": 16, "k": 4, "count": 7}
+
+
+def test_count_of_large_n_in_bounded_time(capsys):
+    # square_part divides by trial only up to the cube root of n; both
+    # 10^18 + 3 and 999999937 are prime, and count is the sum of k/d, d | k
+    for n, k, count in ((10**18 + 3, 1, 1), (999999937**2 * 3, 999999937, 999999938)):
+        began = time.perf_counter()
+        code, out, _ = invoke(capsys, "count", str(n))
+        elapsed = time.perf_counter() - began
+        assert code == 0
+        assert json.loads(out) == {"n": n, "k": k, "count": count}
+        assert elapsed < 2, f"count {n} took {elapsed:.2f}s"
 
 
 def test_count_cyclic(capsys):

@@ -383,6 +383,11 @@ def test_tables_and_rows_that_are_not_sequences_raise_value_error():
         lambda: solution_from_table(1, [7]),
         lambda: solution_from_table(1, 7),
         lambda: solution_from_table(2, [[0, 0], 1]),
+        # iterables that are no sequences: sets, dicts and generators
+        lambda: verify_solution([{1, 0}, {0, 1}]),
+        lambda: solution_from_table(2, [{0: "a", 1: "b"}, range(2)]),
+        lambda: verify_solution(row for row in [[0]]),
+        lambda: verify_solution({0: [0]}),
     ):
         with pytest.raises(ValueError):
             call()

@@ -117,6 +117,14 @@ def test_core_reads_bool_only_in_the_table_and_n_rules():
     assert functions_reading(MODULES["core"], "bool") == {"_rows", "_check_n"}
 
 
+def test_is_abelian_has_one_path():
+    # one exact test over the elements for every group: no shortcut valid
+    # only for regular groups, and no pair loop over the generators
+    perm = MODULES["perm"]
+    assert "is_abelian" not in functions_reading(perm, "is_regular")
+    assert "is_abelian" not in functions_reading(perm, "all_commute")
+
+
 def test_only_perm_binds_group_closure():
     assert "group_closure" in top_level_names(MODULES["perm"])
     for name, tree in MODULES.items():

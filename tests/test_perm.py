@@ -1,8 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
 
+from helpers import cycle_generators, invariant_factors_of_cycles
 from ybe_lab.errors import DegreeMismatch, NotAbelian, SizeLimitExceeded
 from ybe_lab.perm import (
     PermGroup,
@@ -197,6 +199,22 @@ def test_invariant_factors_divisibility_chain():
         assert prod == len(g.elements)
 
 
+def test_invariant_factors_of_disjoint_cycles():
+    # independent reference: disjoint cycles generate the product of their
+    # cyclic groups, most of them intransitive and not regular
+    rng = random.Random(15)
+    for _ in range(40):
+        lengths = [rng.randint(1, 6) for _ in range(rng.randint(1, 4))]
+        g = group_closure(cycle_generators(rng, lengths, rng.randint(0, 3)))
+        expected = invariant_factors_of_cycles(lengths)
+        assert len(g.elements) == math.prod(lengths)
+        by_elements = PermGroup(g.degree, g.elements, g.elements, g.orbit_partition)
+        for group in (g, by_elements):
+            assert is_abelian(group)
+            assert invariant_factors(group) == expected, lengths
+            assert is_cyclic(group) == (len(expected) <= 1)
+
+
 def test_permgroup_is_frozen():
     g = group_closure([(1, 0)])
     assert isinstance(g, PermGroup)
@@ -212,9 +230,9 @@ def regular_representation(gens):
 
 
 def test_is_abelian_agrees_with_pairwise_compose():
-    # the point-0 test of regular groups and the generic all_commute path
-    # against every pair of elements, with the group given by a few
-    # generators and by all its elements (as automorphism groups are)
+    # the orbit-by-orbit test against every pair of elements, with the
+    # group given by a few generators and by all its elements (as
+    # automorphism groups are); all_commute against the same pairs
     dihedral4 = [(1, 2, 3, 0), (3, 2, 1, 0)]
     cases = {
         "regular S3": (regular_representation(S3_GENS), True),
@@ -226,6 +244,14 @@ def test_is_abelian_agrees_with_pairwise_compose():
         "D4 on 4 points": (dihedral4, False),
         "intransitive": ([(1, 0, 2, 3), (0, 1, 3, 2)], False),
         "trivial": ([identity(3)], False),
+        "Z2 x Z3 on disjoint cycles": ([(1, 0, 2, 3, 4, 5), (0, 1, 3, 4, 2, 5)], False),
+        "Z2 beside S3": ([(1, 0, 2, 3, 4), (0, 1, 3, 2, 4), (0, 1, 2, 4, 3)], False),
+        "S3 beside Z3": ([(1, 0, 2, 3, 4, 5), (0, 2, 1, 3, 4, 5), (0, 1, 2, 4, 5, 3)], False),
+        "S3 on two orbits": ([(1, 0, 2, 4, 3, 5), (0, 2, 1, 3, 5, 4)], False),
+        "regular S3 beside Z2": (
+            [g + (6, 7) for g in regular_representation(S3_GENS)] + [tuple(range(6)) + (7, 6)],
+            False,
+        ),
     }
     rng = random.Random(12)
     for i in range(40):

@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 from ybe_lab.util import divisors, factorize, square_part
@@ -45,6 +48,8 @@ def test_square_part_known_values():
     assert square_part(1000) == 10
     assert square_part(30) == 1
     assert square_part(72) == 6
+    with pytest.raises(ValueError):
+        square_part(0)
 
 
 def test_square_part_is_largest_square_divisor():
@@ -53,3 +58,26 @@ def test_square_part_is_largest_square_divisor():
         assert n % (k * k) == 0
         for m in range(k + 1, int(n**0.5) + 1):
             assert n % (m * m) != 0
+
+
+def test_square_part_matches_references():
+    # every n <= 10^5 against the definition, by a sieve over squares: the
+    # last m with m*m dividing n is the largest
+    limit = 10**5
+    best = [1] * (limit + 1)
+    for m in range(2, math.isqrt(limit) + 1):
+        for n in range(m * m, limit + 1, m * m):
+            best[n] = m
+    assert all(square_part(n) == best[n] for n in range(1, limit + 1))
+    # products of random prime powers: past the cube root bound what is
+    # left of n is 1, p, p^2 or p*q, for large primes as for small ones
+    rng = random.Random(15)
+    primes = [p for p in range(2, 1000) if divisors(p) == [1, p]]
+    primes += [10007, 1000003]
+    for _ in range(100):
+        n = k = 1
+        for p in rng.sample(primes, rng.randint(1, 4)):
+            e = rng.randint(1, 4)
+            n *= p**e
+            k *= p ** (e // 2)
+        assert square_part(n) == k, n
