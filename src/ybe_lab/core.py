@@ -19,12 +19,20 @@ for all a, b, with the diagonal map T(a) = sigma^{-1}_a(a) a bijection
 sigma_x sigma_y = sigma_u sigma_v for all x, y, with u = sigma_x(y) and
 v = tau_y(x) = sigma^{-1}_u(x). Inverted and put at (a, b) = (x, u), this
 is the cycle condition at (a, b), and (x, y) -> (x, sigma_x(y)) is a
-bijection of X x X. So one O(n^2) scan of row compositions (_cycle, as
-bytes.translate up to 256 points, operator.itemgetter above) sets both
-flags of a report. Only a rejected table builds tau, for the scalar scan
-that names the first triple where the braid relation fails; it stops by
-(x0, y0, z0) where the composition form first fails at (x0, y0), point
-z0. The tests own the cross-check (tests/test_core.py):
+bijection of X x X. So one cycle scan (_cycle) sets both flags of a
+report. Its lhs at (a, b) depends only on the classes of equal rows of
+sigma^{-1}_a(b) and a, the retraction's classes (perm.class_ids). For k
+classes it composes each ordered pair of class representatives once and
+compares int ids of the composites: O(k^2) compositions plus n^2 id
+comparisons. A member C(n1, n2, r) has lcm(n1, n2/gcd(r, n2)) classes,
+at most sqrt(n) up to 5000 points. The interned ids take up to k^2
+composites, so when k^2 > 4n it composes one row pair for each a < b
+instead, O(n^2) compositions. Rows compose as bytes.translate up to 256
+points and with operator.itemgetter above. Only a rejected table runs
+the scalar scan that names the first triple where the braid relation
+fails, reading tau_y(x) = sigma^{-1}_{sigma_x(y)}(x) on demand; it stops
+by (x0, y0, z0) where the composition form first fails at (x0, y0),
+point z0. The tests own the cross-check (tests/test_core.py):
 test_braid_composition_is_the_cycle_condition_reindexed per pair, and
 test_braid_route_matches_scalar_reference (all 4-point tables under
 -m slow) against the scalar references in tests/helpers.py.
@@ -40,8 +48,9 @@ the tests).
 
 _rows is the only validator of a table, and a Solution's rows are checked
 like any table's. In one pass it checks the shape, the entries and the
-bijectivity of every row and inverts each row once; every kernel (_tau,
-_cycle, _diagonal) then works on those rows and their shared inverses.
+bijectivity of every row and inverts each distinct row once, so equal
+rows share one inverse tuple; every kernel (_tau, _cycle, _diagonal) then
+works on those rows and their shared inverses.
 """
 
 import json
@@ -50,7 +59,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import AxiomViolation, NotBijectiveRow, NotNonDegenerate
-from .perm import Perm, inverse, is_perm
+from .perm import Perm, class_ids, inverse, is_perm
 
 
 @dataclass(frozen=True)
@@ -123,6 +132,9 @@ def _rows(s, n=_NO_N) -> tuple[tuple[Perm, ...], list[Perm]]:
         raise ValueError("empty table")
     points = set(range(n))
     inv = []
+    # equal validated rows are the same map (exact ints only), so they
+    # share one inverse tuple
+    inverses: dict[Perm, Perm] = {}
     repeating = None
     for x, row in enumerate(rows):
         if len(row) != n:
@@ -137,7 +149,10 @@ def _rows(s, n=_NO_N) -> tuple[tuple[Perm, ...], list[Perm]]:
             bijective = len(set(row)) == n
         if repeating is None:
             if bijective:
-                inv.append(inverse(row))
+                qx = inverses.get(row)
+                if qx is None:
+                    qx = inverses[row] = inverse(row)
+                inv.append(qx)
             else:
                 repeating = x
     if repeating is not None:
@@ -175,9 +190,10 @@ def check_cycle_condition(s) -> tuple[bool, tuple[int, int, int] | None]:
 
     Returns (True, None) or (False, witness) with the lexicographically
     first failing (a, b, c). Raises NotBijectiveRow for the first row that
-    is not a bijection. The two sides are compared as whole rows, one
-    composition pair for each a < b, so the cost is O(n^2) compositions
-    (bytes.translate up to 256 points).
+    is not a bijection. The two sides are compared as whole rows: for k
+    classes of equal rows, O(k^2) compositions plus n^2 comparisons of
+    interned ids, or one composition pair for each a < b, O(n^2)
+    compositions, when k^2 > 4n (module docstring).
     """
     return _cycle(*_rows(s))
 
@@ -199,12 +215,41 @@ def _composer(n):
 def _cycle(rows, inv) -> tuple[bool, tuple[int, int, int] | None]:
     n = len(rows)
     left, right = _composer(n)
+    # The condition at (a, b, c) is the condition at (b, a, c) with its
+    # sides swapped, and a failure with a > b is also one at the smaller
+    # triple (b, a, c), so the first failing pair with a < b names the
+    # first witness. Interning holds up to k^2 composites of n points for
+    # k classes, so it runs only while k^2 <= 4n; otherwise the pair scan.
+    cid = class_ids(inv)
+    reps = list(dict(zip(cid, inv)).values())
+    if len(reps) ** 2 <= 4 * n:
+        # The lhs at (a, b), sigma^{-1}_{sigma^{-1}_a(b)} sigma^{-1}_a,
+        # depends only on the classes of sigma^{-1}_a(b) and a: compose
+        # each ordered pair of class representatives once, intern the
+        # composites to ids, and lay out one row of ids over b per class.
+        ids: dict = {}
+        table = [left(q) for q in reps]
+        by_class = []
+        for q in reps:
+            after_q = right(q)
+            col = [ids.setdefault(after_q(t), len(ids)) for t in table]
+            by_class.append(tuple([col[cid[v]] for v in q]))
+        lhs_ids = [by_class[c] for c in cid]
+        # The rhs at (a, b) is the lhs at (b, a), so the condition holds
+        # where lhs_ids is symmetric. Rows before a match their columns, so
+        # the first mismatch in row a lies at some b > a: the first failing
+        # pair of the scan, composed once more to find c.
+        for a, (row, column) in enumerate(zip(lhs_ids, zip(*lhs_ids))):
+            if row != column:
+                b = next(b for b in range(a + 1, n) if row[b] != column[b])
+                lhs = right(inv[a])(left(inv[inv[a][b]]))
+                rhs = right(inv[b])(left(inv[inv[b][a]]))
+                c = next(c for c in range(n) if lhs[c] != rhs[c])
+                return False, (a, b, c)
+        return True, None
     table = [left(qa) for qa in inv]
     # after[a](table[i]) = sigma^{-1}_i . sigma^{-1}_a
     after = [right(qa) for qa in inv]
-    # The condition at (a, b, c) is the condition at (b, a, c) with its
-    # sides swapped, and a failure with a > b is also one at the smaller
-    # triple (b, a, c), so scanning a < b finds the same first witness.
     for a in range(n - 1):
         qa, after_a = inv[a], after[a]
         for b in range(a + 1, n):
@@ -233,21 +278,27 @@ def t_map(s) -> Perm:
     return img
 
 
-def _braid_witness(rows, tau) -> tuple[int, int, int] | None:
-    # r(x,y) = (rows[x][y], tau[y][x]); compare the two triple composites
+def _braid_witness(rows, inv) -> tuple[int, int, int] | None:
+    # r(x, y) = (u, tau_y(x)) with u = rows[x][y] and tau_y(x) = inv[u][x],
+    # read on demand; compare the two triple composites
     # (id x r)(r x id)(id x r) and (r x id)(id x r)(r x id), rightmost
     # factor applied first. Witness is the lexicographically first failure.
     n = len(rows)
     for x in range(n):
         for y in range(n):
+            a = rows[x][y]
+            b = inv[a][x]
             for z in range(n):
-                u, v = rows[y][z], tau[z][y]
-                p, q = rows[x][u], tau[u][x]
-                lhs = (p, rows[q][v], tau[v][q])
+                u = rows[y][z]
+                v = inv[u][y]
+                p = rows[x][u]
+                q = inv[p][x]
+                w = rows[q][v]
+                lhs = (p, w, inv[w][q])
 
-                a, b = rows[x][y], tau[y][x]
-                c, d = rows[b][z], tau[z][b]
-                rhs = (rows[a][c], tau[c][a], d)
+                c = rows[b][z]
+                e = rows[a][c]
+                rhs = (e, inv[e][a], inv[c][b])
                 if lhs != rhs:
                     return (x, y, z)
     return None
@@ -258,20 +309,22 @@ def _report(rows, inv) -> VerifyReport:
     # relation too (module docstring), and the scalar scan runs only to
     # name the witness of a rejected table
     ok = _cycle(rows, inv)[0]
-    wit = None if ok else _braid_witness(rows, _tau(rows, inv))
+    wit = None if ok else _braid_witness(rows, inv)
     return VerifyReport(True, ok, _diagonal(inv) is not None, ok, True, wit)
 
 
 def verify_solution(s) -> VerifyReport:
     """Check the axioms on a table and report each flag (a Solution's rows too).
 
-    One cycle scan of O(n^2) row compositions sets cycle_condition and
-    braid: with the derived tau, the braid relation's composition form
-    sigma_x sigma_y = sigma_{sigma_x(y)} sigma_{tau_y(x)} is the cycle
-    condition reindexed by (a, b) = (x, sigma_x(y)) (module docstring).
-    A tau table is built only when the scan fails, to find the
-    lexicographically first braid witness. When rows are not bijective
-    nothing else is checkable and all flags are reported False.
+    One cycle scan sets cycle_condition and braid, with O(k^2) row
+    compositions plus n^2 id comparisons for k classes of equal rows
+    (O(n^2) compositions when k^2 > 4n): with the derived tau, the braid
+    relation's composition form sigma_x sigma_y =
+    sigma_{sigma_x(y)} sigma_{tau_y(x)} is the cycle condition reindexed
+    by (a, b) = (x, sigma_x(y)) (module docstring). Only when the scan
+    fails does a scalar scan find the lexicographically first braid
+    witness, reading tau on demand. When rows are not bijective nothing
+    else is checkable and all flags are reported False.
     """
     try:
         rows, inv = _rows(s)

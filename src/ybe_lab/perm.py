@@ -11,7 +11,8 @@ the automorphisms the search yields, stopping past DEFAULT_MAX_CLOSURE
 of them. Closure remains for direct calls and as the tests' reference.
 is_abelian and invariant_factors read group.elements, which must be the
 whole group (as group_closure and aut.automorphism_group give it), and
-neither loops over pairs of elements.
+neither loops over pairs of elements. class_ids numbers the classes of
+equal rows, the retraction's classes, for retract and core's cycle scan.
 """
 
 import math
@@ -85,6 +86,12 @@ def order(p: Perm) -> int:
             length += 1
         result = math.lcm(result, length)
     return result
+
+
+def class_ids(rows) -> list[int]:
+    """Id of every row's class of equal rows, numbered by first occurrence."""
+    class_of: dict = {}
+    return [class_of.setdefault(row, len(class_of)) for row in rows]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 from .core import Solution, trusted_solution
 from .errors import CarrierTooSmall
+from .perm import class_ids
 
 
 @dataclass(frozen=True)
@@ -28,19 +29,13 @@ def retract(s: Solution) -> RetractionResult:
     is a solution, are theorems (Etingof-Schedler-Soloviev), so neither is
     checked here; test_retract_is_well_defined checks both.
     """
-    proj = _class_ids(s.sigma)
+    proj = class_ids(s.sigma)
     first: dict[int, int] = {}
     for x, c in enumerate(proj):
         first.setdefault(c, x)
     reps = list(first.values())
     qrows = tuple(tuple(proj[s.sigma[x][y]] for y in reps) for x in reps)
     return RetractionResult(trusted_solution(qrows), tuple(proj))
-
-
-def _class_ids(rows) -> list[int]:
-    """Id of every row's class of equal rows, numbered by first occurrence."""
-    class_of: dict = {}
-    return [class_of.setdefault(row, len(class_of)) for row in rows]
 
 
 def mpl(s: Solution) -> int | None:
@@ -62,7 +57,7 @@ def mpl(s: Solution) -> int | None:
 
 def is_2_reductive(s: Solution) -> bool:
     """True iff sigma_{sigma_x(y)} = sigma_y for all x, y."""
-    cid = _class_ids(s.sigma)
+    cid = class_ids(s.sigma)
     # class ids along row x, one row per class, must read cid itself
     return all([cid[v] for v in row] == cid for row in dict(zip(cid, s.sigma)).values())
 
@@ -75,7 +70,7 @@ def is_mpl_at_most_2(s: Solution) -> bool:
     """
     if s.n < 2:
         raise CarrierTooSmall("level-2 test needs at least two points")
-    cid = _class_ids(s.sigma)
+    cid = class_ids(s.sigma)
     # class ids along every row y, one row per class, must read as along row 0
     ref = [cid[v] for v in s.sigma[0]]
     return all([cid[v] for v in row] == ref for row in dict(zip(cid, s.sigma)).values())

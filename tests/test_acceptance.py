@@ -309,3 +309,25 @@ def test_criterion_15_verify_a_256_point_file(tmp_path, capsys):
         out = json.loads(capsys.readouterr().out)
         assert out["first_failure"] == list(witness)
         assert not out["braid"] and not out["ok"]
+
+
+def test_criterion_16_verify_classify_and_aut_of_a_512_point_file(tmp_path, capsys):
+    # 16 distinct rows on 512 points: every load composes row classes, not
+    # the n^2/2 row pairs
+    member = build_c((2, 256, 16))
+    g = list(range(member.n))
+    random.Random(20261021).shuffle(g)
+    path = tmp_path / "member.json"
+    path.write_text(json.dumps({"n": member.n, "sigma": relabel(member.sigma, g)}))
+    flags = ("bijective_rows", "cycle_condition", "non_degenerate", "braid", "involutive")
+    expected = {
+        "verify": dict.fromkeys(flags, True) | {"first_failure": None, "ok": True},
+        "classify": {"n1": 2, "n2": 256, "r": 16},
+        "aut": {"order": 512, "abelian": True, "invariant_factors": [2, 256], "cyclic": False},
+    }
+    for command, want in expected.items():
+        capsys.readouterr()
+        with criterion(f"16 CLI {command} of a 512 point file", 1.5):
+            assert cli.run([command, str(path)]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert {key: out[key] for key in want} == want

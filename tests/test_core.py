@@ -19,6 +19,7 @@ from ybe_lab.construct import build_c, build_nonabelian_example
 from ybe_lab.core import (
     Solution,
     VerifyReport,
+    _rows,
     check_cycle_condition,
     solution_from_json,
     solution_from_table,
@@ -38,11 +39,24 @@ from ybe_lab.perm import compose, inverse, is_perm
 # and the one with a rank-two permutation group
 TWIST4 = [(1, 2, 3, 0), (3, 0, 1, 2), (1, 2, 3, 0), (3, 0, 1, 2)]
 RANK2 = [(1, 0, 3, 2), (3, 2, 1, 0), (1, 0, 3, 2), (3, 2, 1, 0)]
+# the direct product of STALLED with itself: a 16-point solution with 16
+# distinct rows, so k^2 = 256 > 4n and the cycle scan composes row pairs
+STALLED_SQUARED = [
+    [STALLED[x1][y1] * 4 + STALLED[x2][y2] for y1 in range(4) for y2 in range(4)]
+    for x1 in range(4)
+    for x2 in range(4)
+]
+
+
+def interned(table):
+    """True when the cycle scan interns row classes: k^2 <= 4n for k distinct rows."""
+    return len({tuple(row) for row in table}) ** 2 <= 4 * len(table)
 
 
 def corrupted_members(rng, limit, copies):
     """A relabeled copy of each member up to `limit` points, plus `copies`
-    swap-corrupted versions of it (most fail the axioms, deep in the table)."""
+    swap-corrupted versions of it and one with a row overwritten by a copy
+    of another (most fail the axioms, deep in the table)."""
     out = []
     for n in range(2, limit + 1):
         for p in enumerate_family(n):
@@ -51,6 +65,10 @@ def corrupted_members(rng, limit, copies):
             table = relabel(build_c(p).sigma, g)
             out.append(table)
             out.extend(swap_corrupted(rng, table) for _ in range(copies))
+            copied = [list(row) for row in table]
+            x, y = rng.sample(range(n), 2)
+            copied[x] = list(table[y])
+            out.append(copied)
     return out
 
 
@@ -105,7 +123,7 @@ def witness_pool(rng):
             rows = [[0] + [v + 1 for v in row] for row in rest]
             tables.append([list(range(n))] + rows)
     tables += corrupted_members(rng, 24, 3)
-    tables += [LEVEL3, STALLED]
+    tables += [LEVEL3, STALLED, STALLED_SQUARED, swap_corrupted(rng, STALLED_SQUARED)]
     return tables
 
 
@@ -123,16 +141,18 @@ def reference_report(table):
 
 def test_cycle_witness_matches_brute_force():
     # the scan covers a < b only; its witness must still be the first
-    # failing triple over all ordered (a, b, c)
+    # failing triple over all ordered (a, b, c), on interned row classes
+    # and on the pair scan alike
     tables = witness_pool(random.Random(20261017))
-    firsts = set()
+    firsts = {True: set(), False: set()}
     for table in tables:
         ok, witness = check_cycle_condition(table)
         assert witness == oracle_cycle_witness(table)
         assert ok == (witness is None)
         if witness is not None:
-            firsts.add(witness[0])
-    assert firsts >= {0, 1, 2}
+            firsts[interned(table)].add(witness[0])
+    assert firsts[True] | firsts[False] >= {0, 1, 2}
+    assert firsts[True] >= {0, 1} and firsts[False] >= {0, 1}
 
 
 def test_braid_route_matches_scalar_reference():
@@ -148,6 +168,7 @@ def test_braid_route_matches_scalar_reference():
     tables += witness_pool(rng)
     firsts = set()
     accepted = 0
+    paths = set()
     for table in tables:
         report = verify_solution(table)
         expected = reference_report(table)
@@ -156,9 +177,13 @@ def test_braid_route_matches_scalar_reference():
         )
         assert report == expected
         accepted += report.braid
+        paths.add((interned(table), report.braid))
         if not report.braid:
             firsts.add(report.first_failure[0])
     assert accepted > 50 and firsts >= {0, 1, 2}
+    # both sides of the switch from interned row classes to the pair scan
+    # accept and reject tables
+    assert paths == {(True, True), (True, False), (False, True), (False, False)}
     # both sides of the switch from bytes to itemgetter rows; an accepted
     # large table is checked through report.ok, not the n^3 reference. A
     # report shows the braid witness, so check_cycle_condition's witness is
@@ -214,6 +239,26 @@ def test_braid_route_matches_scalar_reference_on_all_4_point_tables():
         assert (report.braid, report.first_failure) == (witness is None, witness)
         count += 1
     assert count == 331776
+
+
+def test_rows_share_one_inverse_per_distinct_row():
+    # equal validated rows are the same map, so _rows inverts each distinct
+    # row once and equal rows share that inverse tuple
+    rng = random.Random(20261021)
+    tables = [TWIST4, RANK2, LEVEL3, STALLED, STALLED_SQUARED, [[0]], [[0, 1]] * 2]
+    tables += corrupted_members(rng, 12, 1)
+    for table in tables:
+        rows, inv = _rows(table)
+        assert [compose(row, q) for row, q in zip(rows, inv)] == [tuple(range(len(rows)))] * len(rows)
+        assert len({id(q) for q in inv}) == len(set(rows))
+        first = {}
+        for row, q in zip(rows, inv):
+            assert first.setdefault(row, q) is q
+    # a row equal to a checked one as a Python value still passes the
+    # entry rule: 1.0 and True hash like 1
+    for bad in ((1.0, 0), (True, 0), (1, False)):
+        with pytest.raises(ValueError):
+            _rows([(1, 0), bad])
 
 
 def test_t_map_values():

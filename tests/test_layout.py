@@ -135,6 +135,14 @@ def test_only_perm_binds_group_closure():
     assert sources == ["perm"]
 
 
+def test_only_perm_defines_class_ids():
+    # one class-id helper, shared by retract and core's cycle scan
+    for name, tree in MODULES.items():
+        defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert ("class_ids" in defined) == (name == "perm"), name
+        assert "_class_ids" not in referenced_names(tree), name
+
+
 def test_no_environment_reads():
     for name, tree in MODULES.items():
         found = referenced_names(tree) & {"environ", "environb", "getenv"}
