@@ -12,7 +12,7 @@ from .errors import (
     NotMplAtMost2,
     SizeLimitExceeded,
 )
-from .perm import DEFAULT_MAX_CLOSURE, Perm, PermGroup, compose, inverse, orbits
+from .perm import DEFAULT_MAX_CLOSURE, Perm, PermGroup, inverse, orbits, precompose
 
 
 def automorphism_group(s: Solution) -> PermGroup:
@@ -20,14 +20,22 @@ def automorphism_group(s: Solution) -> PermGroup:
 
     An eligible s (indecomposable, abelian, level <= 2) is isomorphic to a
     family member by the certificate phi of explicit_iso_to_c, so its
-    group is phi . Aut(member) . phi^{-1}, read off aut_c_closed_form: it
-    is regular, and its generators are all its elements, ordered by the
-    image of 0 as the search finds them. Other input falls back to the
-    search, whose automorphisms are the whole group (no closure); it
-    stops with SizeLimitExceeded past DEFAULT_MAX_CLOSURE of them.
-    test_automorphism_group_equals_search and
+    group is phi . Aut(member) . phi^{-1}: regular, with generators equal
+    to its elements, ordered by the image of 0 as the search finds them.
+    The closed form f_(s,t) (aut_c_closed_form) is a translation after a
+    shear, f_(s,t) = T_(s,t) . h_{d'} with T_(s,t)((a,i)) = (a+s, i+t),
+    h_{d'}((a,i)) = (a + d*d', i + r*d*d') and d' = t - s*r mod n2, and
+    h_{d'} depends only on (d' mod n1, r*d' mod n2). So phi conjugates
+    T_(1,0), T_(0,1) and each distinct shear once, and the n elements are
+    itemgetter compositions of those: O(k n) for k shears plus 2n
+    compositions, with no closed form evaluated per element. Other input
+    falls back to the search, whose automorphisms are the whole group (no
+    closure); it stops with SizeLimitExceeded past DEFAULT_MAX_CLOSURE of
+    them. test_automorphism_group_equals_search and
     test_automorphism_group_falls_back_to_search check both paths
-    against the closure of the search's list.
+    against the closure of the search's list, and
+    test_automorphism_group_conjugates_the_closed_form checks the
+    elements against aut_c_closed_form.
     """
     try:
         p, phi = explicit_iso_to_c(s)
@@ -36,13 +44,43 @@ def automorphism_group(s: Solution) -> PermGroup:
         if len(auts) > DEFAULT_MAX_CLOSURE:
             raise SizeLimitExceeded(f"more than {DEFAULT_MAX_CLOSURE} automorphisms")
         return PermGroup(s.n, auts, tuple(sorted(auts)), orbits(s.n, auts))
-    phi_inv = inverse(phi)
-    elements = tuple(sorted(
-        compose(phi, compose(aut_c_closed_form(p, a, i), phi_inv))
-        for a in range(p.n1)
-        for i in range(p.n2)
-    ))
-    return PermGroup(s.n, elements, elements, (tuple(range(s.n)),))
+    n1, n2, r = p
+    n = s.n
+    after_phi_inv = precompose(inverse(phi))
+
+    def conjugate(g: Perm) -> Perm:
+        return after_phi_inv(precompose(g)(phi))
+
+    # the translations T_(1,0) and T_(0,1), in the member's labels
+    after_s = precompose(conjugate(tuple((x + n2) % n for x in range(n))))
+    after_t = precompose(conjugate(tuple(x - x % n2 + (x + 1) % n2 for x in range(n))))
+    shears = {}
+    elements = []
+    translation_s = tuple(range(n))  # phi . T_(s,0) . phi^{-1}
+    for s_ in range(n1):
+        translation = translation_s  # phi . T_(s,t) . phi^{-1}
+        for t in range(n2):
+            d_st = (t - s_ * r) % n2
+            key = (d_st % n1, r * d_st % n2)
+            after_shear = shears.get(key)
+            if after_shear is None:
+                after_shear = shears[key] = precompose(conjugate(_shear(p, d_st)))
+            elements.append(after_shear(translation))
+            translation = after_t(translation)
+        translation_s = after_s(translation_s)
+    elements = tuple(sorted(elements))
+    return PermGroup(n, elements, elements, (tuple(range(n)),))
+
+
+def _shear(p, d_st: int) -> Perm:
+    # h_{d'}((a,i)) = (a + d*d', i + r*d*d') with d = i - a*r mod n2
+    n1, n2, r = p
+    img = []
+    for a in range(n1):
+        for i in range(n2):
+            dd = (i - a * r) % n2 * d_st
+            img.append((a + dd) % n1 * n2 + (i + r * dd) % n2)
+    return tuple(img)
 
 
 def aut_c_closed_form(p, s: int, t: int) -> Perm:

@@ -7,6 +7,17 @@ parameter triple of the isomorphic family member is recovered directly
 from the structure: n2 is the common row order, n1 = n/n2, and r is the
 unique exponent with sigma_{sigma_e(e)}^{n1} = sigma_e^{(r+1)*n1}.
 
+The theory is used, not re-proved. explicit_iso_to_c checks its
+certificate phi on the member's row classes without building the member
+as a Solution: row (a, i) of C(n1, n2, r) depends only on
+(d mod n1, r*d mod n2) with d = i - a*r mod n2, and member_rows shares one
+tuple per class, so phi . m . phi^{-1} is composed once per class and
+compared with sigma_{phi(x)} for every x, in O(n^2). Distinct triples are
+never isomorphic and Aut is regular, so are_isomorphic decides eligible
+pairs by their triples, and its certificate is the one isomorphism that
+fixes point 0, which is also the search's first one. Ineligible input
+keeps the quick-reject invariants and the backtracking search.
+
 Counting: with k the largest integer whose square divides n, the family
 has exactly sum over d | k of k/d members on n points (k of which have
 cyclic permutation group), and distinct triples are never isomorphic.
@@ -16,7 +27,7 @@ import itertools
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from .construct import CParams, build_c
+from .construct import CParams, member_rows
 from .core import Solution, trusted_solution
 from .errors import (
     BoundExceeded,
@@ -33,6 +44,7 @@ from .perm import (
     orbits,
     order,
     power,
+    precompose,
 )
 from .retract import is_mpl_at_most_2, mpl
 from .util import divisors, square_part
@@ -54,22 +66,14 @@ def _invariants(s: Solution):
     no group is built.
     """
     rows = sorted(set(s.sigma))
+    orders = {row: order(row) for row in rows}
     return (
         s.n,
-        tuple(sorted(order(row) for row in s.sigma)),
+        tuple(sorted(map(orders.__getitem__, s.sigma))),
         len(rows),
         len(orbits(s.n, rows)) == 1,
         all_commute(rows),
         mpl(s),
-    )
-
-
-def _full_check(sig1, sig2, phi) -> bool:
-    n = len(sig1)
-    return all(
-        phi[sig1[x][y]] == sig2[phi[x]][phi[y]]
-        for x in range(n)
-        for y in range(n)
     )
 
 
@@ -139,15 +143,26 @@ def iso_search(sig1, sig2) -> Iterator[Perm]:
 def are_isomorphic(s1: Solution, s2: Solution) -> Perm | None:
     """Certificate phi with phi . sigma_x = sigma'_{phi(x)} . phi, or None.
 
-    Quick-rejects on carrier size, row-order multiset, the number of
-    distinct rows, transitivity and abelianness of the permutation group
-    and multipermutation level before searching.
+    Eligible inputs are decided by their parameter triples: distinct
+    triples are never isomorphic, and for equal ones, with c1 and c2 the
+    certificates of explicit_iso_to_c, the answer is c2 . c1^{-1}. Both
+    certificates send the member's point 0 to 0, and Aut is regular, so
+    this is the one isomorphism fixing 0: the search's first certificate.
+    If either input is ineligible, the quick-reject invariants (carrier
+    size, row-order multiset, the number of distinct rows, transitivity
+    and abelianness of the permutation group, multipermutation level) run
+    before the backtracking search. test_parameter_route_matches_search
+    checks the route against the search.
     """
     if s1.n != s2.n:
         return None
-    if _invariants(s1) != _invariants(s2):
-        return None
-    return next(iso_search(s1.sigma, s2.sigma), None)
+    try:
+        (p1, c1), (p2, c2) = explicit_iso_to_c(s1), explicit_iso_to_c(s2)
+    except (NotIndecomposable, NotAbelian, NotMplAtMost2):
+        if _invariants(s1) != _invariants(s2):
+            return None
+        return next(iso_search(s1.sigma, s2.sigma), None)
+    return compose(c2, inverse(c1)) if p1 == p2 else None
 
 
 def recover_params(s: Solution) -> CParams:
@@ -182,12 +197,14 @@ def recover_params(s: Solution) -> CParams:
     rho = s.sigma[0]
     target = power(s.sigma[rho[0]], n1)
     step = power(rho, n1)
-    cur = step  # rho^{(r+1)*n1}
+    # cur = rho^{(r+1)*n1}; powers of rho commute, so cur . step = step . cur
+    after_step = precompose(step)
+    cur = step
     hits = []
     for r in range(n2 // n1):
         if cur == target:
             hits.append(r)
-        cur = compose(step, cur)
+        cur = after_step(cur)
     if len(hits) != 1:
         raise StructureViolation("power identity did not pin down a unique r")
     r = hits[0]
@@ -200,23 +217,38 @@ def explicit_iso_to_c(s: Solution) -> ClassifyOutcome:
     """Recovered parameters plus a verified certificate build_c(params) -> s.
 
     With e = 0, rho = sigma_e and lam = sigma_{rho(e)} . rho^{-r-1}, the
-    certificate is phi(a*n2 + i) = (lam^a . rho^i)(e).
+    certificate is phi(a*n2 + i) = (lam^a . rho^i)(e), so phi(0) = 0. It
+    is checked without a member Solution: phi must be a bijection, and
+    phi . m_x . phi^{-1} = sigma_{phi(x)} for every member row m_x. That
+    conjugate is composed once per row class (d mod n1, r*d mod n2), on
+    the shared rows of member_rows, by itemgetter, and compared as a whole
+    row for every x: O(k n) for k classes plus n row comparisons, with no
+    inverses and no tau. A mismatch raises StructureViolation.
     """
     p = recover_params(s)
+    n1, n2, r = p
     rho = s.sigma[0]
-    lam = compose(s.sigma[rho[0]], power(rho, -p.r - 1))
+    lam = compose(s.sigma[rho[0]], power(rho, -r - 1))
     phi = []
     lam_a = tuple(range(s.n))
-    for _ in range(p.n1):
+    for _ in range(n1):
         pt = lam_a[0]
-        for _ in range(p.n2):
+        for _ in range(n2):
             phi.append(pt)
             pt = rho[pt]
         lam_a = compose(lam, lam_a)
     phi = tuple(phi)
-    member = build_c(p)
-    if len(set(phi)) != s.n or not _full_check(member.sigma, s.sigma, phi):
+    if len(set(phi)) != s.n:
         raise StructureViolation("certificate verification failed")
+    after_phi_inv = precompose(inverse(phi))
+    # the rows of one class are one shared tuple: conjugate each once
+    conjugates = {}
+    for x, row in enumerate(member_rows(p)):
+        conjugate = conjugates.get(id(row))
+        if conjugate is None:
+            conjugate = conjugates[id(row)] = after_phi_inv(precompose(row)(phi))
+        if conjugate != s.sigma[phi[x]]:
+            raise StructureViolation("certificate verification failed")
     return ClassifyOutcome(p, phi)
 
 

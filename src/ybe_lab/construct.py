@@ -25,7 +25,7 @@ from .errors import (
     NotMplAtMost2,
     NotTwoReductive,
 )
-from .perm import compose, inverse, is_perm
+from .perm import Perm, compose, inverse, is_perm
 from .retract import is_2_reductive, is_mpl_at_most_2
 
 
@@ -51,31 +51,47 @@ def delta(p: CParams, a: int, i: int) -> int:
     return (i - a * p.r) % p.n2
 
 
-def build_c(p) -> Solution:
-    """Build the family member for a valid parameter triple.
+def member_rows(p) -> tuple[Perm, ...]:
+    """The sigma table of C(p), with one row tuple shared by each row class.
 
-    The member is a solution by construction, so its axioms are not
-    checked here; test_build_c_members_are_solutions and acceptance
-    criterion 4 verify every member up to 24 points, and
-    test_build_c_tau_matches_closed_form checks its tau against
-    tau_{(b,j)}((a,i)) = (a + b*r - (j+1), i - (j+1)*r + b*r^2 - 1).
+    Row (a, i) is (b, j) -> (b + d mod n1, j + r*d + 1 mod n2) with
+    d = i - a*r mod n2, so it depends only on (d mod n1, r*d mod n2), its
+    class: equal rows are one tuple, built once. Raises InvalidParams.
     """
     n1, n2, r = p
     if not c_params_valid(n1, n2, r):
         raise InvalidParams(f"invalid triple ({n1}, {n2}, {r})")
-    sigma = []
+    by_class = {}
+    rows = []
     for a in range(n1):
         for i in range(n2):
             d = (i - a * r) % n2
-            row = []
-            for b in range(n1):
-                bb = (b + d) % n1
-                base = bb * n2
-                for j in range(n2):
-                    row.append(base + (j + r * d + 1) % n2)
-            sigma.append(tuple(row))
-    sigma = tuple(sigma)
-    return trusted_solution(sigma)
+            key = (d % n1, r * d % n2)
+            row = by_class.get(key)
+            if row is None:
+                shift = (r * d + 1) % n2
+                cycle = (*range(shift, n2), *range(shift))  # j -> j + r*d + 1
+                row = by_class[key] = tuple(
+                    [(b + d) % n1 * n2 + j for b in range(n1) for j in cycle]
+                )
+            rows.append(row)
+    return tuple(rows)
+
+
+def build_c(p) -> Solution:
+    """Build the family member for a valid parameter triple.
+
+    Its rows are member_rows(p), one shared tuple per row class, which
+    trusted_solution inverts once. The member is a solution by
+    construction, so its axioms are not checked here;
+    test_build_c_members_are_solutions and acceptance criterion 4 verify
+    every member up to 24 points, and test_build_c_tau_matches_closed_form
+    checks its tau against
+    tau_{(b,j)}((a,i)) = (a + b*r - (j+1), i - (j+1)*r + b*r^2 - 1).
+    No library path builds a member to check a certificate: classify
+    conjugates member_rows once per class instead.
+    """
+    return trusted_solution(member_rows(p))
 
 
 def pi_isotope(s: Solution, pi) -> Solution:

@@ -180,9 +180,11 @@ def trusted_solution(rows) -> Solution:
     """Solution on rows the library built itself, with tau derived.
 
     Nothing is checked: the rows must be a tuple of bijective row tuples
-    forming a solution by a theorem (see the module docstring).
+    forming a solution by a theorem (see the module docstring). Each
+    distinct row is inverted once, as in _rows.
     """
-    return Solution(len(rows), rows, _tau(rows, [inverse(row) for row in rows]))
+    inverses = {row: inverse(row) for row in set(rows)}
+    return Solution(len(rows), rows, _tau(rows, list(map(inverses.__getitem__, rows))))
 
 
 def check_cycle_condition(s) -> tuple[bool, tuple[int, int, int] | None]:

@@ -76,7 +76,3 @@ class StructureViolation(YbeError):
 
 class BoundExceeded(YbeError):
     """Requested size is beyond the configured search bound."""
-
-
-class InternalError(YbeError):
-    """A property that is a theorem failed; indicates a bug."""

@@ -13,6 +13,8 @@ is_abelian and invariant_factors read group.elements, which must be the
 whole group (as group_closure and aut.automorphism_group give it), and
 neither loops over pairs of elements. class_ids numbers the classes of
 equal rows, the retraction's classes, for retract and core's cycle scan.
+precompose turns a permutation into an itemgetter that composes many
+others with it in C, for classify's certificate and automorphism work.
 """
 
 import math
@@ -48,6 +50,17 @@ def compose(p: Perm, q: Perm) -> Perm:
     if len(p) != len(q):
         raise DegreeMismatch(f"degrees {len(p)} and {len(q)} differ")
     return tuple(p[v] for v in q)
+
+
+def precompose(g: Perm):
+    """The map f -> compose(f, g) for f of g's degree, built once, run in C.
+
+    operator.itemgetter does the work; on one point it would yield a bare
+    value, so degree 1 takes a tuple instead.
+    """
+    if len(g) == 1:
+        return lambda f: (f[g[0]],)
+    return itemgetter(*g)
 
 
 def inverse(p: Perm) -> Perm:

@@ -21,6 +21,7 @@ from ybe_lab.classify import (
     enumerate_family,
     exhaustive_enumerate,
     explicit_iso_to_c,
+    iso_search,
     recover_params,
 )
 from ybe_lab.construct import CParams, build_c, build_nonabelian_example
@@ -134,6 +135,9 @@ def test_criterion_05_distinct_parameters_never_isomorphic():
                     assert certificate_ok(phi, built[p], built[q])
                 else:
                     assert phi is None
+                    # the search is a reference independent of the theorem
+                    if built[p].n == built[q].n:
+                        assert next(iso_search(built[p].sigma, built[q].sigma), None) is None
 
 
 def test_criterion_06_parameter_recovery_round_trip():
@@ -331,3 +335,16 @@ def test_criterion_16_verify_classify_and_aut_of_a_512_point_file(tmp_path, caps
             assert cli.run([command, str(path)]) == 0
             out = json.loads(capsys.readouterr().out)
             assert {key: out[key] for key in want} == want
+
+
+def test_criterion_17_iso_of_two_1024_point_members_sharing_invariants():
+    # C(1,1024,32) and C(1,1024,96) agree on every quick-reject invariant,
+    # so only their parameter triples tell them apart without a search
+    loaded = []
+    for p, seed in (((1, 1024, 32), 20261022), ((1, 1024, 96), 20261023)):
+        member = build_c(p)
+        g = list(range(member.n))
+        random.Random(seed).shuffle(g)
+        loaded.append(solution_from_table(member.n, relabel(member.sigma, g)))
+    with criterion("17 iso of two 1024 point members sharing invariants", 1.0):
+        assert are_isomorphic(*loaded) is None

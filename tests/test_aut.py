@@ -16,8 +16,10 @@ from ybe_lab.errors import (
     SizeLimitExceeded,
 )
 from ybe_lab.perm import (
+    compose,
     group_closure,
     invariant_factors,
+    inverse,
     is_abelian,
     is_cyclic,
     is_regular,
@@ -81,6 +83,26 @@ def test_automorphism_group_equals_search():
             group = automorphism_group(s)
             assert group == searched_group(s)
             check_cyclic_by_factors(group)
+
+
+def test_automorphism_group_conjugates_the_closed_form():
+    # the elements are composed from translations and shears, so the
+    # public closed form, evaluated per element, is the reference
+    rng = random.Random(20261019)
+    for n in (48, 64):
+        for p in enumerate_family(n):
+            g = list(range(n))
+            rng.shuffle(g)
+            s = solution_from_table(n, relabel(build_c(p).sigma, g))
+            _, phi = explicit_iso_to_c(s)
+            phi_inv = inverse(phi)
+            expected = {
+                compose(phi, compose(aut_c_closed_form(p, a, i), phi_inv))
+                for a in range(p.n1)
+                for i in range(p.n2)
+            }
+            assert set(automorphism_group(s).elements) == expected
+            assert len(expected) == n
 
 
 def trivial(n):

@@ -12,6 +12,7 @@ from helpers import (
     relabel,
 )
 from ybe_lab.classify import (
+    _invariants,
     are_isomorphic,
     count_cyclic,
     count_family,
@@ -241,6 +242,55 @@ def test_explicit_iso_certificates():
         outcome = explicit_iso_to_c(t)
         assert outcome.params == CParams(*p)
         check_certificate(outcome.phi, build_c(outcome.params), t)
+
+
+def test_certificate_check_on_row_classes_bites(monkeypatch):
+    # a wrong valid triple of the same size gives a certificate that fails
+    # the per-class row comparison
+    s = build_c((1, 4, 0))
+    monkeypatch.setattr("ybe_lab.classify.recover_params", lambda _: CParams(1, 4, 2))
+    with pytest.raises(StructureViolation):
+        explicit_iso_to_c(s)
+
+
+def relabeled_member(p, rng):
+    return shuffled_copy(build_c(p), rng)[0]
+
+
+def shared_invariant_pairs(n, rng):
+    """Every pair of distinct members on n points whose quick-reject
+    invariants agree, each member seeded-relabeled."""
+    buckets = {}
+    for p in enumerate_family(n):
+        buckets.setdefault(_invariants(build_c(p)), []).append(p)
+    return [
+        (relabeled_member(p, rng), relabeled_member(q, rng))
+        for bucket in buckets.values()
+        for p, q in itertools.combinations(bucket, 2)
+    ]
+
+
+def test_parameter_route_matches_search():
+    # eligible pairs are decided by their triples; the answer, certificate
+    # included, must be the search's first certificate or its None
+    rng = random.Random(20261019)
+    pairs = []
+    for n in range(1, 65):
+        for p in enumerate_family(n):
+            pairs.append((relabeled_member(p, rng), relabeled_member(p, rng)))
+        pairs += shared_invariant_pairs(n, rng)
+    assert len(pairs) == 164 + 47
+    for s, t in pairs:
+        assert are_isomorphic(s, t) == next(iso_search(s.sigma, t.sigma), None)
+
+
+@pytest.mark.slow
+def test_parameter_route_matches_search_at_256_points():
+    pairs = shared_invariant_pairs(256, random.Random(20261020))
+    assert len(pairs) == 43
+    for s, t in pairs:
+        assert are_isomorphic(s, t) is None
+        assert next(iso_search(s.sigma, t.sigma), None) is None
 
 
 def test_count_family_values():

@@ -135,6 +135,19 @@ def test_only_perm_binds_group_closure():
     assert sources == ["perm"]
 
 
+def test_no_member_is_built_to_check_a_certificate():
+    # classify checks certificates on the shared row classes of
+    # construct.member_rows; neither it nor aut builds a member Solution
+    # to check one. The oracle's completed tables are the one exception:
+    # exhaustive_enumerate wraps each as a Solution to record it.
+    for name in ("classify", "aut"):
+        assert "build_c" not in referenced_names(MODULES[name]), name
+    assert "trusted_solution" not in referenced_names(MODULES["aut"])
+    assert functions_reading(MODULES["classify"], "trusted_solution") == {
+        "exhaustive_enumerate"
+    }
+
+
 def test_only_perm_defines_class_ids():
     # one class-id helper, shared by retract and core's cycle scan
     for name, tree in MODULES.items():

@@ -21,6 +21,7 @@ from ybe_lab.perm import (
     is_transitive,
     order,
     power,
+    precompose,
 )
 
 S3_GENS = [(1, 0, 2), (0, 2, 1)]
@@ -53,6 +54,14 @@ def test_compose_applies_right_factor_first():
     assert compose(p, q) == (1, 0, 2)
     for i in range(3):
         assert compose(p, q)[i] == p[q[i]]
+
+
+def test_precompose_is_compose_on_the_right():
+    rng = random.Random(20261019)
+    for n in range(1, 7):
+        for _ in range(5):
+            f, g = tuple(rng.sample(range(n), n)), tuple(rng.sample(range(n), n))
+            assert precompose(g)(f) == compose(f, g)
 
 
 def test_compose_degree_mismatch():
