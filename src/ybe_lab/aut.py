@@ -20,8 +20,7 @@ def automorphism_group(s: Solution) -> PermGroup:
 
     An eligible s (indecomposable, abelian, level <= 2) is isomorphic to a
     family member by the certificate phi of explicit_iso_to_c, so its
-    group is phi . Aut(member) . phi^{-1}: regular, with generators equal
-    to its elements, ordered by the image of 0 as the search finds them.
+    group is phi . Aut(member) . phi^{-1}: regular, one element per point.
     The closed form f_(s,t) (aut_c_closed_form) is a translation after a
     shear, f_(s,t) = T_(s,t) . h_{d'} with T_(s,t)((a,i)) = (a+s, i+t),
     h_{d'}((a,i)) = (a + d*d', i + r*d*d') and d' = t - s*r mod n2, and
@@ -31,7 +30,8 @@ def automorphism_group(s: Solution) -> PermGroup:
     compositions, with no closed form evaluated per element. Other input
     falls back to the search, whose automorphisms are the whole group (no
     closure); it stops with SizeLimitExceeded past DEFAULT_MAX_CLOSURE of
-    them. test_automorphism_group_equals_search and
+    them. Both paths give the sorted elements and the orbits, as
+    group_closure would. test_automorphism_group_equals_search and
     test_automorphism_group_falls_back_to_search check both paths
     against the closure of the search's list, and
     test_automorphism_group_conjugates_the_closed_form checks the
@@ -43,7 +43,7 @@ def automorphism_group(s: Solution) -> PermGroup:
         auts = tuple(islice(iso_search(s.sigma, s.sigma), DEFAULT_MAX_CLOSURE + 1))
         if len(auts) > DEFAULT_MAX_CLOSURE:
             raise SizeLimitExceeded(f"more than {DEFAULT_MAX_CLOSURE} automorphisms")
-        return PermGroup(s.n, auts, tuple(sorted(auts)), orbits(s.n, auts))
+        return PermGroup(s.n, tuple(sorted(auts)), orbits(s.n, auts))
     n1, n2, r = p
     n = s.n
     after_phi_inv = precompose(inverse(phi))
@@ -68,8 +68,7 @@ def automorphism_group(s: Solution) -> PermGroup:
             elements.append(after_shear(translation))
             translation = after_t(translation)
         translation_s = after_s(translation_s)
-    elements = tuple(sorted(elements))
-    return PermGroup(n, elements, elements, (tuple(range(n)),))
+    return PermGroup(n, tuple(sorted(elements)), (tuple(range(n)),))
 
 
 def _shear(p, d_st: int) -> Perm:

@@ -315,7 +315,7 @@ def exhaustive_enumerate(
         raise ValueError("n must be positive")
     if n > max_n:
         raise BoundExceeded(f"exhaustive search bounded at {max_n} points")
-    all_perms = sorted(itertools.permutations(range(n)))
+    all_perms = list(itertools.permutations(range(n)))
     inv_of = {p: inverse(p) for p in all_perms}
     rows: list[Perm] = []
     invs: list[Perm] = []

@@ -46,11 +46,6 @@ def c_params_valid(n1: int, n2: int, r: int) -> bool:
     )
 
 
-def delta(p: CParams, a: int, i: int) -> int:
-    """Row invariant d(a, i) = i - a*r mod n2; rows with equal action share it."""
-    return (i - a * p.r) % p.n2
-
-
 def member_rows(p) -> tuple[Perm, ...]:
     """The sigma table of C(p), with one row tuple shared by each row class.
 

@@ -1,14 +1,16 @@
 """Permutation arithmetic and small permutation groups.
 
-Permutations are image tuples: p[i] is the image of i under p. Groups are
-stored by explicit element sets, so no stabilizer chains are needed.
-group_closure computes them by breadth-first closure from generators,
+Permutations are image tuples: p[i] is the image of i under p. A
+PermGroup is its degree, all its elements (sorted) and its point orbits,
+so no stabilizer chains are needed, and it keeps no generators.
+group_closure computes one by breadth-first closure from generators,
 bounded by max_size (SizeLimitExceeded). No library path calls it:
 parameter recovery, the isomorphism quick-reject and the exhaustive
 oracle's filters read orbits and all_commute off the distinct rows, and
 aut.automorphism_group builds its groups from the closed form or from
 the automorphisms the search yields, stopping past DEFAULT_MAX_CLOSURE
-of them. Closure remains for direct calls and as the tests' reference.
+of them. Closure remains public for direct calls, as the tests'
+reference, and because the benchmark's tracer wraps it by name.
 is_abelian and invariant_factors read group.elements, which must be the
 whole group (as group_closure and aut.automorphism_group give it), and
 neither loops over pairs of elements. class_ids numbers the classes of
@@ -112,7 +114,6 @@ class PermGroup:
     """A concrete permutation group: all elements, plus its point orbits."""
 
     degree: int
-    generators: tuple[Perm, ...]
     elements: tuple[Perm, ...]
     orbit_partition: tuple[tuple[int, ...], ...]
 
@@ -169,11 +170,7 @@ def group_closure(gens, max_size: int = DEFAULT_MAX_CLOSURE) -> PermGroup:
                     elements.add(p)
                     new.append(p)
         frontier = new
-    return PermGroup(n, tuple(gens), tuple(sorted(elements)), orbits(n, gens))
-
-
-def is_transitive(group: PermGroup) -> bool:
-    return len(group.orbit_partition) == 1
+    return PermGroup(n, tuple(sorted(elements)), orbits(n, gens))
 
 
 def all_commute(perms) -> bool:
@@ -216,17 +213,6 @@ def is_abelian(group: PermGroup) -> bool:
         if rows != list(zip(*rows)):
             return False
     return True
-
-
-def is_regular(group: PermGroup) -> bool:
-    """Transitive with exactly one element per point."""
-    return is_transitive(group) and len(group.elements) == group.degree
-
-
-def is_cyclic(group: PermGroup) -> bool:
-    """True iff some element has order equal to the group order."""
-    target = len(group.elements)
-    return any(order(p) == target for p in group.elements)
 
 
 def invariant_factors(group: PermGroup) -> tuple[int, ...]:

@@ -174,6 +174,41 @@ def random_solution_tables(rng: random.Random, n: int, count: int):
     return out
 
 
+def delta(p, a: int, i: int) -> int:
+    """The row invariant d = i - a*r mod n2 of the point (a, i) of C(n1, n2, r)."""
+    _, n2, r = p
+    return (i - a * r) % n2
+
+
+def is_transitive(group) -> bool:
+    """One orbit: the images g(0) over the elements reach every point."""
+    return {g[0] for g in group.elements} == set(range(group.degree))
+
+
+def is_regular(group) -> bool:
+    """Sharply transitive: exactly one element sends 0 to each point (in a
+    transitive group every point stabilizer is conjugate to that of 0)."""
+    return sorted(g[0] for g in group.elements) == list(range(group.degree))
+
+
+def is_cyclic(group) -> bool:
+    """Some element's order, the lcm of its cycle lengths, is the group order."""
+    for g in group.elements:
+        lengths, seen = [], set()
+        for start in range(len(g)):
+            if start in seen:
+                continue
+            length, x = 0, start
+            while x not in seen:
+                seen.add(x)
+                x = g[x]
+                length += 1
+            lengths.append(length)
+        if math.lcm(*lengths) == len(group.elements):
+            return True
+    return False
+
+
 def forbid_group_closure(monkeypatch):
     """Replace group_closure at every ybe_lab module that binds it, so any
     library call that builds a group by closure fails the test."""

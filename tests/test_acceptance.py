@@ -12,7 +12,14 @@ from contextlib import contextmanager
 
 import pytest
 
-from helpers import oracle_braid_witness, relabel, swap_corrupted
+from helpers import (
+    is_cyclic,
+    is_regular,
+    is_transitive,
+    oracle_braid_witness,
+    relabel,
+    swap_corrupted,
+)
 from ybe_lab import cli
 from ybe_lab.aut import aut_c_closed_form, automorphism_group, is_aut_cyclic_c1nr
 from ybe_lab.classify import (
@@ -31,9 +38,6 @@ from ybe_lab.perm import (
     compose,
     invariant_factors,
     is_abelian,
-    is_cyclic,
-    is_regular,
-    is_transitive,
     order,
     power,
 )

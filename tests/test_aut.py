@@ -3,7 +3,15 @@ import random
 
 import pytest
 
-from helpers import LEVEL3, STALLED, aut_by_filtering, forbid_group_closure, relabel
+from helpers import (
+    LEVEL3,
+    STALLED,
+    aut_by_filtering,
+    forbid_group_closure,
+    is_cyclic,
+    is_regular,
+    relabel,
+)
 from ybe_lab.aut import aut_c_closed_form, automorphism_group, is_aut_cyclic_c1nr
 from ybe_lab.classify import enumerate_family, explicit_iso_to_c, iso_search
 from ybe_lab.cli import run
@@ -21,8 +29,6 @@ from ybe_lab.perm import (
     invariant_factors,
     inverse,
     is_abelian,
-    is_cyclic,
-    is_regular,
 )
 
 
@@ -73,7 +79,7 @@ def test_automorphism_group_of_witness():
 
 def test_automorphism_group_equals_search():
     # eligible input takes the closed form through the certificate; the
-    # result must be the search's group, generators and orbits included
+    # result must be the search's group, elements and orbits alike
     rng = random.Random(20261017)
     for n in range(1, 41):
         for p in enumerate_family(n):
@@ -112,7 +118,7 @@ def trivial(n):
 
 def test_automorphism_group_falls_back_to_search(monkeypatch):
     # the search's list is the whole group: the fallback builds no closure
-    # and still returns the closure reference, generators and orbits included
+    # and still returns the closure reference, elements and orbits alike
     cases = {
         NotAbelian: [build_nonabelian_example(3), solution_from_table(4, STALLED)],
         NotIndecomposable: [

