@@ -5,7 +5,10 @@ phi(sigma_x(y)) = sigma'_{phi(x)}(phi(y)) for all x, y. For eligible
 solutions (indecomposable, abelian permutation group, level <= 2) the
 parameter triple of the isomorphic family member is recovered directly
 from the structure: n2 is the common row order, n1 = n/n2, and r is the
-unique exponent with sigma_{sigma_e(e)}^{n1} = sigma_e^{(r+1)*n1}.
+unique exponent with sigma_{sigma_e(e)}^{n1} = sigma_e^{(r+1)*n1}. The
+permutation group is then regular abelian, so recover_params reads the
+row orders and r off cycles through e = 0, after one hashing pass over
+the rows, with no power or group built.
 
 The theory is used, not re-proved. explicit_iso_to_c checks its
 certificate phi on the member's row classes without building the member
@@ -39,14 +42,16 @@ from .errors import (
 from .perm import (
     Perm,
     all_commute,
+    class_ids,
     compose,
+    cycle_length,
     inverse,
     orbits,
     order,
     power,
     precompose,
 )
-from .retract import is_mpl_at_most_2, mpl
+from .retract import mpl, mpl_at_most_2_on_classes
 from .util import divisors, square_part
 
 DEFAULT_ORACLE_BOUND = 5
@@ -174,20 +179,28 @@ def recover_params(s: Solution) -> CParams:
     facts that the theory guarantees are still checked and raise
     StructureViolation if violated.
 
-    No group is built: the orbits of the distinct rows give transitivity,
-    and their pairwise commutation gives abelianness, since they generate
-    the group. Each step is O(n^2) on an eligible input: a family member
-    has lcm(n1, n2/gcd(r, n2)) distinct rows, at most sqrt(n) on every
-    member up to 5000 points.
+    No group is built, and the rows are hashed once (perm.class_ids): the
+    first row of each class stands for it. The orbits of the distinct rows
+    give transitivity, their pairwise commutation gives abelianness, since
+    they generate the group, and the same class ids give the level test.
+    A transitive abelian group is regular, so a group element is known by
+    its image of 0, and its order is the length of its cycle through 0.
+    Hence sigma_{rho(0)}^{n1} = rho^{(r+1)*n1}, with rho = sigma_0, holds
+    iff rho^{(r+1)*n1}(0) = t, the image of 0 under sigma_{rho(0)}^{n1}:
+    with i the number of rho-steps from 0 to t, r = (i/n1 - 1) mod n2/n1,
+    and no power is built. Each step is O(n^2) on an eligible input: a
+    family member has lcm(n1, n2/gcd(r, n2)) distinct rows, at most
+    sqrt(n) on every member up to 5000 points.
     """
-    rows = sorted(set(s.sigma))
+    cid = class_ids(s.sigma)
+    rows = list(dict(zip(cid, s.sigma)).values())
     if len(orbits(s.n, rows)) != 1:
         raise NotIndecomposable("permutation group is not transitive")
     if not all_commute(rows):
         raise NotAbelian("permutation group is not abelian")
-    if s.n >= 2 and not is_mpl_at_most_2(s):
+    if s.n >= 2 and not mpl_at_most_2_on_classes(s.sigma, cid):
         raise NotMplAtMost2("multipermutation level exceeds 2")
-    row_orders = {order(row) for row in rows}
+    row_orders = {cycle_length(row, 0) for row in rows}
     if len(row_orders) != 1:
         raise StructureViolation("rows have different orders")
     n2 = row_orders.pop()
@@ -195,19 +208,20 @@ def recover_params(s: Solution) -> CParams:
     if rem or n2 % n1:
         raise StructureViolation("row order does not split the carrier")
     rho = s.sigma[0]
-    target = power(s.sigma[rho[0]], n1)
-    step = power(rho, n1)
-    # cur = rho^{(r+1)*n1}; powers of rho commute, so cur . step = step . cur
-    after_step = precompose(step)
-    cur = step
-    hits = []
-    for r in range(n2 // n1):
-        if cur == target:
-            hits.append(r)
-        cur = after_step(cur)
-    if len(hits) != 1:
+    lam = s.sigma[rho[0]]
+    target = 0
+    for _ in range(n1):
+        target = lam[target]
+    # walk rho's cycle through 0 until it reaches target or comes back
+    i, pt = 0, 0
+    while pt != target:
+        pt = rho[pt]
+        i += 1
+        if pt == 0:
+            break
+    if pt != target or i % n1:
         raise StructureViolation("power identity did not pin down a unique r")
-    r = hits[0]
+    r = (i // n1 - 1) % (n2 // n1)
     if (n1 * r * r) % n2:
         raise StructureViolation("recovered r fails the divisibility constraint")
     return CParams(n1, n2, r)

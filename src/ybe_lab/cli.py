@@ -98,8 +98,9 @@ def cmd_aut(args) -> int:
     sol = _load_solution(args.file)
     g = automorphism_group(sol)
     try:
-        # invariant_factors runs the abelianness test itself (O(n^2) on the
-        # regular groups of eligible input); cyclic means at most one factor
+        # invariant_factors runs the abelianness test itself and reads each
+        # element's order off one cycle per orbit, so both are O(n^2) on the
+        # regular groups of eligible input; cyclic means at most one factor
         factors = list(invariant_factors(g))
     except NotAbelian:
         factors = None

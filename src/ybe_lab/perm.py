@@ -13,8 +13,11 @@ of them. Closure remains public for direct calls, as the tests'
 reference, and because the benchmark's tracer wraps it by name.
 is_abelian and invariant_factors read group.elements, which must be the
 whole group (as group_closure and aut.automorphism_group give it), and
-neither loops over pairs of elements. class_ids numbers the classes of
-equal rows, the retraction's classes, for retract and core's cycle scan.
+neither loops over pairs of elements. cycle_length walks one cycle: an
+abelian group is regular on each orbit, so invariant_factors and
+classify's parameter recovery read element orders off it. class_ids
+numbers the classes of equal rows, the retraction's classes, for
+retract, classify and core's cycle scan.
 precompose turns a permutation into an itemgetter that composes many
 others with it in C, for classify's certificate and automorphism work.
 """
@@ -101,6 +104,15 @@ def order(p: Perm) -> int:
             length += 1
         result = math.lcm(result, length)
     return result
+
+
+def cycle_length(p: Perm, x: int) -> int:
+    """Length of p's cycle through the point x."""
+    length, y = 1, p[x]
+    while y != x:
+        y = p[y]
+        length += 1
+    return length
 
 
 def class_ids(rows) -> list[int]:
@@ -224,10 +236,19 @@ def invariant_factors(group: PermGroup) -> tuple[int, ...]:
     by p^k; so the j-th largest factor takes one p from each k with
     e_k > j. The trivial group yields the empty tuple. Raises NotAbelian
     on non-abelian input.
+
+    An abelian group acts regularly on each of its orbits, so all cycles
+    of g in one orbit have one length, and the order of g is the lcm of
+    its cycle lengths through the least points of the orbits of size > 1.
+    Each element walks one cycle per such orbit, at most the group's
+    exponent in steps, in place of every point of the carrier.
     """
     if not is_abelian(group):
         raise NotAbelian("invariant factors need an abelian group")
-    counts = Counter(order(g) for g in group.elements)
+    starts = [orbit[0] for orbit in group.orbit_partition if len(orbit) > 1]
+    counts = Counter(
+        math.lcm(*[cycle_length(g, x) for x in starts]) for g in group.elements
+    )
     # largest factor first; there are at most log2 |G| of them
     factors = [1] * len(group.elements).bit_length()
     for p, a in factorize(len(group.elements)).items():

@@ -2,7 +2,8 @@
 
 The retraction and both predicates work on class ids: each row is hashed
 once to an int numbered by first occurrence, and ints are compared, not
-whole rows, so each is O(n^2).
+whole rows, so each is O(n^2). mpl_at_most_2_on_classes is the level-2
+test on ids a caller already has, for classify's parameter recovery.
 """
 
 from dataclasses import dataclass
@@ -70,7 +71,14 @@ def is_mpl_at_most_2(s: Solution) -> bool:
     """
     if s.n < 2:
         raise CarrierTooSmall("level-2 test needs at least two points")
-    cid = class_ids(s.sigma)
+    return mpl_at_most_2_on_classes(s.sigma, class_ids(s.sigma))
+
+
+def mpl_at_most_2_on_classes(sigma, cid) -> bool:
+    """is_mpl_at_most_2 on rows whose class ids (perm.class_ids) are known.
+
+    For callers that hashed the rows already; n >= 2 is theirs to check.
+    """
     # class ids along every row y, one row per class, must read as along row 0
-    ref = [cid[v] for v in s.sigma[0]]
-    return all([cid[v] for v in row] == ref for row in dict(zip(cid, s.sigma)).values())
+    ref = [cid[v] for v in sigma[0]]
+    return all([cid[v] for v in row] == ref for row in dict(zip(cid, sigma)).values())

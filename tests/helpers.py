@@ -6,9 +6,11 @@ not against themselves. The one exception is forbid_group_closure, a
 guard that makes any group closure inside the library fail a test.
 """
 
+import itertools
 import math
 import random
 import sys
+from collections import Counter
 
 from ybe_lab import perm
 
@@ -119,8 +121,6 @@ def swap_corrupted(rng: random.Random, table):
 
 def aut_by_filtering(sigma):
     """All relabelings fixing the table, found by scanning n! permutations."""
-    import itertools
-
     n = len(sigma)
     out = []
     for g in itertools.permutations(range(n)):
@@ -140,6 +140,33 @@ def cycle_generators(rng: random.Random, lengths, fixed: int):
         g = list(range(n))
         for i, x in enumerate(cycle):
             g[x] = cycle[(i + 1) % length]
+        gens.append(tuple(g))
+    return gens
+
+
+def shift_generators(rng: random.Random, orbit_shapes, fixed: int):
+    """Commuting generators with one orbit per shape, plus fixed points.
+
+    The orbit of shape (m1, ..., mk) is Z_m1 x ... x Z_mk, acted on by
+    translation; generator j adds 1 to coordinate j in every orbit that has
+    one, so a generator moves several orbits at once. The points of all
+    orbits and the fixed points are placed at random.
+    """
+    points = [
+        (b, c)
+        for b, shape in enumerate(orbit_shapes)
+        for c in itertools.product(*map(range, shape))
+    ]
+    n = len(points) + fixed
+    label = dict(zip(points, rng.sample(range(n), n)))
+    gens = []
+    for j in range(max(map(len, orbit_shapes))):
+        g = list(range(n))
+        for (b, c), x in label.items():
+            shape = orbit_shapes[b]
+            if j < len(shape):
+                moved = (*c[:j], (c[j] + 1) % shape[j], *c[j + 1:])
+                g[x] = label[(b, moved)]
         gens.append(tuple(g))
     return gens
 
@@ -191,22 +218,52 @@ def is_regular(group) -> bool:
     return sorted(g[0] for g in group.elements) == list(range(group.degree))
 
 
+def element_order(g) -> int:
+    """The lcm of the lengths of all cycles of g, every point walked."""
+    lengths, seen = [], set()
+    for start in range(len(g)):
+        if start in seen:
+            continue
+        length, x = 0, start
+        while x not in seen:
+            seen.add(x)
+            x = g[x]
+            length += 1
+        lengths.append(length)
+    return math.lcm(*lengths)
+
+
 def is_cyclic(group) -> bool:
-    """Some element's order, the lcm of its cycle lengths, is the group order."""
-    for g in group.elements:
-        lengths, seen = [], set()
-        for start in range(len(g)):
-            if start in seen:
-                continue
-            length, x = 0, start
-            while x not in seen:
-                seen.add(x)
-                x = g[x]
-                length += 1
-            lengths.append(length)
-        if math.lcm(*lengths) == len(group.elements):
-            return True
-    return False
+    """Some element's order is the group order."""
+    return any(element_order(g) == len(group.elements) for g in group.elements)
+
+
+def invariant_factors_by_orders(group):
+    """The chain d1 | ... | dt (all >= 2) read off Counter(element orders).
+
+    Z_d1 x ... x Z_dt has prod gcd(m, d_i) elements of order dividing m.
+    The element orders fix a finite abelian group up to isomorphism, so
+    exactly one chain whose product is |G| matches those counts for every
+    m dividing |G|; every such chain is tried.
+    """
+    counts = Counter(element_order(g) for g in group.elements)
+    size = len(group.elements)
+    ms = [m for m in range(1, size + 1) if size % m == 0]
+    dividing = {m: sum(c for o, c in counts.items() if m % o == 0) for m in ms}
+
+    def chains(rest, least):
+        if rest == 1:
+            yield ()
+        for d in ms:
+            if d >= 2 and d % least == 0 and rest % d == 0:
+                for tail in chains(rest // d, d):
+                    yield (d, *tail)
+
+    (fit,) = [
+        c for c in chains(size, 1)
+        if all(math.prod(math.gcd(m, d) for d in c) == dividing[m] for m in ms)
+    ]
+    return fit
 
 
 def forbid_group_closure(monkeypatch):

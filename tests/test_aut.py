@@ -8,9 +8,11 @@ from helpers import (
     STALLED,
     aut_by_filtering,
     forbid_group_closure,
+    invariant_factors_by_orders,
     is_cyclic,
     is_regular,
     relabel,
+    shift_generators,
 )
 from ybe_lab.aut import aut_c_closed_form, automorphism_group, is_aut_cyclic_c1nr
 from ybe_lab.classify import enumerate_family, explicit_iso_to_c, iso_search
@@ -255,3 +257,27 @@ def test_aut_order_equals_carrier_size():
         assert len(g.elements) == s.n
         assert is_regular(g)
         assert is_abelian(g)
+
+
+def test_invariant_factors_match_the_element_order_reference():
+    # invariant_factors reads each order off one cycle per orbit; the
+    # reference walks every point of every element. Aut of each relabeled
+    # member up to 64 points is regular; the closures have several orbits,
+    # generators that move more than one of them, and fixed points
+    rng = random.Random(2020)
+    groups = []
+    for n in range(1, 65):
+        for p in enumerate_family(n):
+            g = list(range(n))
+            rng.shuffle(g)
+            t = solution_from_table(n, relabel(build_c(p).sigma, g))
+            groups.append(automorphism_group(t))
+    for _ in range(40):
+        shapes = [
+            tuple(rng.choice((2, 3, 4)) for _ in range(rng.randint(1, 2)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        groups.append(group_closure(shift_generators(rng, shapes, rng.randint(0, 3))))
+    assert any(len(g.orbit_partition) > 2 for g in groups)
+    for g in groups:
+        assert invariant_factors(g) == invariant_factors_by_orders(g)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -35,6 +36,7 @@ from ybe_lab.errors import (
     YbeError,
 )
 from ybe_lab.perm import (
+    class_ids,
     compose,
     group_closure,
     order,
@@ -171,27 +173,30 @@ def test_recover_params_rejects_nonabelian():
 
 
 def closure_reference_params(s):
-    """recover_params through the closed permutation group, check by check."""
+    """recover_params through the closed permutation group, check by check,
+    with whole powers of rho scanned for r."""
     gens = sorted(set(s.sigma))
     if not is_transitive(group_closure(gens)):
-        raise NotIndecomposable
+        raise NotIndecomposable("permutation group is not transitive")
     if any(compose(a, b) != compose(b, a) for a in gens for b in gens):
-        raise NotAbelian
+        raise NotAbelian("permutation group is not abelian")
     level = mpl(s)
     if s.n >= 2 and (level is None or level > 2):
-        raise NotMplAtMost2
+        raise NotMplAtMost2("multipermutation level exceeds 2")
     row_orders = {order(row) for row in s.sigma}
     if len(row_orders) != 1:
-        raise StructureViolation
+        raise StructureViolation("rows have different orders")
     n2 = row_orders.pop()
     n1, rem = divmod(s.n, n2)
     if rem or n2 % n1:
-        raise StructureViolation
+        raise StructureViolation("row order does not split the carrier")
     rho = s.sigma[0]
     target = power(s.sigma[rho[0]], n1)
     hits = [r for r in range(n2 // n1) if power(rho, (r + 1) * n1) == target]
-    if len(hits) != 1 or (n1 * hits[0] ** 2) % n2:
-        raise StructureViolation
+    if len(hits) != 1:
+        raise StructureViolation("power identity did not pin down a unique r")
+    if (n1 * hits[0] ** 2) % n2:
+        raise StructureViolation("recovered r fails the divisibility constraint")
     return CParams(n1, n2, hits[0])
 
 
@@ -199,7 +204,7 @@ def _outcome(f, s):
     try:
         return f(s)
     except YbeError as exc:
-        return type(exc)
+        return type(exc), str(exc)
 
 
 def test_recover_params_matches_closure_reference(monkeypatch):
@@ -211,8 +216,10 @@ def test_recover_params_matches_closure_reference(monkeypatch):
     pool += [solution_from_table(4, t) for t in (LEVEL3, STALLED)]
     for n in range(1, 5):
         pool += exhaustive_enumerate(n)
-    for n in range(1, 41):
+    for n in (*range(1, 41), 64):
         pool += [build_c(p) for p in enumerate_family(n)]
+    # n2/n1 = 128 candidate r; the walk on rho's cycle takes 17 and 113 steps
+    pool += [build_c((1, 128, r)) for r in (16, 112)]
     # indecomposable, cyclic permutation group, level 3
     pool.append(solution_from_table(27, CYCLIC_LEVEL3))
     pool = [shuffled_copy(s, rng)[0] for s in pool for _ in range(2)]
@@ -227,8 +234,42 @@ def test_recover_params_matches_closure_reference(monkeypatch):
             exhaustive_enumerate(
                 n, indecomposable=flags[0], abelian=flags[1], mpl_le_2=flags[2]
             )
-    kinds = {e if isinstance(e, type) else CParams for e in expected}
+    kinds = {CParams if isinstance(e, CParams) else e[0] for e in expected}
     assert kinds == {CParams, NotIndecomposable, NotAbelian, NotMplAtMost2}
+
+
+def test_recover_params_hashes_the_rows_once(monkeypatch):
+    # one class_ids pass gives the distinct rows and serves the level test:
+    # no set of the rows, and no second hashing in is_mpl_at_most_2
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return class_ids(rows)
+
+    def forbidden(*args):
+        raise AssertionError("the rows were hashed again")
+
+    # the package binds the name retract to the function, so modules are
+    # taken from sys.modules
+    classify, retract = (sys.modules[f"ybe_lab.{m}"] for m in ("classify", "retract"))
+    monkeypatch.setattr(classify, "class_ids", counted)
+    monkeypatch.setattr(retract, "class_ids", counted)
+    monkeypatch.setattr(retract, "is_mpl_at_most_2", forbidden)
+    for name in ("set", "is_mpl_at_most_2"):
+        monkeypatch.setattr(classify, name, forbidden, raising=False)
+    rng = random.Random(5)
+    cases = [
+        (relabeled_member((2, 8, 2), rng), CParams(2, 8, 2)),
+        (build_c((1, 1, 0)), CParams(1, 1, 0)),
+        (solution_from_table(27, CYCLIC_LEVEL3), NotMplAtMost2),
+        (build_nonabelian_example(3), NotAbelian),
+    ]
+    for s, expected in cases:
+        calls.clear()
+        outcome = _outcome(recover_params, s)
+        assert outcome == expected or outcome[0] is expected
+        assert calls == [s.n]
 
 
 def test_explicit_iso_certificates():
