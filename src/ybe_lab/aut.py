@@ -20,14 +20,20 @@ def automorphism_group(s: Solution) -> PermGroup:
 
     An eligible s (indecomposable, abelian, level <= 2) is isomorphic to a
     family member by the certificate phi of explicit_iso_to_c, so its
-    group is phi . Aut(member) . phi^{-1}: regular, one element per point.
-    The closed form f_(s,t) (aut_c_closed_form) is a translation after a
-    shear, f_(s,t) = T_(s,t) . h_{d'} with T_(s,t)((a,i)) = (a+s, i+t),
-    h_{d'}((a,i)) = (a + d*d', i + r*d*d') and d' = t - s*r mod n2, and
-    h_{d'} depends only on (d' mod n1, r*d' mod n2). So phi conjugates
-    T_(1,0), T_(0,1) and each distinct shear once, and the n elements are
-    itemgetter compositions of those: O(k n) for k shears plus 2n
-    compositions, with no closed form evaluated per element. Other input
+    group is phi . Aut(member) . phi^{-1}: regular, one element per point
+    (the argument is in the classify module docstring). Each closed-form
+    automorphism (aut_c_closed_form) is a translation after a shear,
+    f_(s,t) = T_(s,t) . h_1^{d'} with d' = t - s*r mod n2 and the shear
+    h_1((a,i)) = (a + d, i + r*d), d = i - a*r mod n2: h_1 moves each
+    point by an amount read off its row, which h_1 keeps, so d' steps of
+    h_1 are the closed form's shear by d'. T_(0,1), T_(1,0) and h_1 are
+    read in s's own labels, with no member permutation built: phi conjugates
+    T_(0,1) to rho = sigma_0 and T_(1,0) to lam, read off phi as
+    lam(phi(j)) = phi(j + n2 mod n). At each point x, h_1(x) is the
+    member row m_x applied to T_(0,1)^{-1}(x), so phi conjugates h_1 to
+    e(y) = sigma_y(rho^{-1}(y)). The group is thus lam^s . rho^t . e^{d'}
+    over the n points (s, t), with d' taken mod the order of e (which
+    divides n2): at most 2n + n2 compositions, O(n^2) in all. Other input
     falls back to the search, whose automorphisms are the whole group (no
     closure); it stops with SizeLimitExceeded past DEFAULT_MAX_CLOSURE of
     them. Both paths give the sorted elements and the orbits, as
@@ -46,40 +52,27 @@ def automorphism_group(s: Solution) -> PermGroup:
         return PermGroup(s.n, tuple(sorted(auts)), orbits(s.n, auts))
     n1, n2, r = p
     n = s.n
-    after_phi_inv = precompose(inverse(phi))
-
-    def conjugate(g: Perm) -> Perm:
-        return after_phi_inv(precompose(g)(phi))
-
-    # the translations T_(1,0) and T_(0,1), in the member's labels
-    after_s = precompose(conjugate(tuple((x + n2) % n for x in range(n))))
-    after_t = precompose(conjugate(tuple(x - x % n2 + (x + 1) % n2 for x in range(n))))
-    shears = {}
+    lam = [0] * n
+    for j, y in enumerate(phi):
+        lam[y] = phi[(j + n2) % n]
+    rho = s.sigma[0]
+    rho_inv = inverse(rho)
+    after_e = precompose(tuple(s.sigma[y][rho_inv[y]] for y in range(n)))
+    # e^0, e^1, ... up to its order, which divides n2
+    shears = [tuple(range(n))]
+    while (e_k := after_e(shears[-1])) != shears[0]:
+        shears.append(e_k)
+    after_shear = [precompose(e_k) for e_k in shears]
+    after_lam, after_rho = precompose(tuple(lam)), precompose(rho)
     elements = []
-    translation_s = tuple(range(n))  # phi . T_(s,0) . phi^{-1}
+    translation_s = shears[0]  # lam^s
     for s_ in range(n1):
-        translation = translation_s  # phi . T_(s,t) . phi^{-1}
+        translation = translation_s  # lam^s . rho^t
         for t in range(n2):
-            d_st = (t - s_ * r) % n2
-            key = (d_st % n1, r * d_st % n2)
-            after_shear = shears.get(key)
-            if after_shear is None:
-                after_shear = shears[key] = precompose(conjugate(_shear(p, d_st)))
-            elements.append(after_shear(translation))
-            translation = after_t(translation)
-        translation_s = after_s(translation_s)
+            elements.append(after_shear[(t - s_ * r) % len(shears)](translation))
+            translation = after_rho(translation)
+        translation_s = after_lam(translation_s)
     return PermGroup(n, tuple(sorted(elements)), (tuple(range(n)),))
-
-
-def _shear(p, d_st: int) -> Perm:
-    # h_{d'}((a,i)) = (a + d*d', i + r*d*d') with d = i - a*r mod n2
-    n1, n2, r = p
-    img = []
-    for a in range(n1):
-        for i in range(n2):
-            dd = (i - a * r) % n2 * d_st
-            img.append((a + dd) % n1 * n2 + (i + r * dd) % n2)
-    return tuple(img)
 
 
 def aut_c_closed_form(p, s: int, t: int) -> Perm:

@@ -6,20 +6,23 @@ solutions (indecomposable, abelian permutation group, level <= 2) the
 parameter triple of the isomorphic family member is recovered directly
 from the structure: n2 is the common row order, n1 = n/n2, and r is the
 unique exponent with sigma_{sigma_e(e)}^{n1} = sigma_e^{(r+1)*n1}. The
-permutation group is then regular abelian, so recover_params reads the
-row orders and r off cycles through e = 0, after one hashing pass over
-the rows, with no power or group built.
+permutation group is then regular abelian (below), so recover_params
+reads the row orders and r off cycles through e = 0, after one hashing
+pass over the rows, with no power or group built.
 
-The theory is used, not re-proved. explicit_iso_to_c checks its
-certificate phi on the member's row classes without building the member
-as a Solution: row (a, i) of C(n1, n2, r) depends only on
-(d mod n1, r*d mod n2) with d = i - a*r mod n2, and member_rows shares one
-tuple per class, so phi . m . phi^{-1} is composed once per class and
-compared with sigma_{phi(x)} for every x, in O(n^2). Distinct triples are
-never isomorphic and Aut is regular, so are_isomorphic decides eligible
-pairs by their triples, and its certificate is the one isomorphism that
-fixes point 0, which is also the search's first one. Ineligible input
-keeps the quick-reject invariants and the backtracking search.
+The theory is used, not re-proved. A transitive abelian permutation
+group G is regular: if g in G fixes x, then g(h(x)) = h(g(x)) = h(x)
+for every h in G, so g fixes every point, and two elements of G are
+equal iff they send 0 to the same point. Every check below leans on
+this. explicit_iso_to_c builds its certificate phi from rho = sigma_0
+and lam = sigma_{rho(0)} . rho^{-r-1}, by walks in s's own labels; phi
+conjugates the member's translations to rho and lam, and each member
+row to an element of G, so its check is one point per row: O(n), with
+no member row built. Distinct triples are never isomorphic and Aut is
+regular, so are_isomorphic decides eligible pairs by their triples, and
+its certificate is the one isomorphism that fixes point 0, which is
+also the search's first one. Ineligible input keeps the quick-reject
+invariants and the backtracking search.
 
 Counting: with k the largest integer whose square divides n, the family
 has exactly sum over d | k of k/d members on n points (k of which have
@@ -30,7 +33,7 @@ import itertools
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from .construct import CParams, member_rows
+from .construct import CParams
 from .core import Solution, trusted_solution
 from .errors import (
     BoundExceeded,
@@ -48,8 +51,6 @@ from .perm import (
     inverse,
     orbits,
     order,
-    power,
-    precompose,
 )
 from .retract import mpl, mpl_at_most_2_on_classes
 from .util import divisors, square_part
@@ -230,40 +231,42 @@ def recover_params(s: Solution) -> CParams:
 def explicit_iso_to_c(s: Solution) -> ClassifyOutcome:
     """Recovered parameters plus a verified certificate build_c(params) -> s.
 
-    With e = 0, rho = sigma_e and lam = sigma_{rho(e)} . rho^{-r-1}, the
-    certificate is phi(a*n2 + i) = (lam^a . rho^i)(e), so phi(0) = 0. It
-    is checked without a member Solution: phi must be a bijection, and
-    phi . m_x . phi^{-1} = sigma_{phi(x)} for every member row m_x. That
-    conjugate is composed once per row class (d mod n1, r*d mod n2), on
-    the shared rows of member_rows, by itemgetter, and compared as a whole
-    row for every x: O(k n) for k classes plus n row comparisons, with no
-    inverses and no tau. A mismatch raises StructureViolation.
+    With rho = sigma_0 and lam = sigma_{rho(0)} . rho^{-r-1}, the
+    certificate is phi(a*n2 + i) = (rho^i . lam^a)(0), so phi(0) = 0. It is
+    read off walks, with no member built: row a walks rho from lam^a(0),
+    and lam^{a+1}(0) is sigma_{rho(0)} at the point n2 - r - 1 steps along
+    that walk. Each walk must close after n2 steps and lam^{n1}(0) must be
+    0; then phi . T_(0,1) . phi^{-1} = rho and phi . T_(1,0) . phi^{-1} = lam
+    for the member's translations T, since rho and lam commute. Member row
+    (a, i) is the translation T_(d, r*d+1) with d = i - a*r mod n2, so
+    phi conjugates it to lam^d . rho^{r*d+1}, an element of the regular
+    group (module docstring), which equals sigma_{phi(x)} iff both send 0
+    to one point: sigma_{phi(x)}(0) = phi((d mod n1, r*d+1 mod n2)). So
+    phi must be a bijection and pass that check at every x, in O(n); a
+    failure raises StructureViolation.
     """
     p = recover_params(s)
     n1, n2, r = p
-    rho = s.sigma[0]
-    lam = compose(s.sigma[rho[0]], power(rho, -r - 1))
+    sigma = s.sigma
+    rho = sigma[0]
+    back = -(r + 1) % n2  # rho^{-r-1} is n2 - r - 1 rho-steps on a closed walk
     phi = []
-    lam_a = tuple(range(s.n))
-    for _ in range(n1):
-        pt = lam_a[0]
+    start = 0  # lam^a(0)
+    for a in range(n1):
+        pt = start
         for _ in range(n2):
             phi.append(pt)
             pt = rho[pt]
-        lam_a = compose(lam, lam_a)
-    phi = tuple(phi)
-    if len(set(phi)) != s.n:
-        raise StructureViolation("certificate verification failed")
-    after_phi_inv = precompose(inverse(phi))
-    # the rows of one class are one shared tuple: conjugate each once
-    conjugates = {}
-    for x, row in enumerate(member_rows(p)):
-        conjugate = conjugates.get(id(row))
-        if conjugate is None:
-            conjugate = conjugates[id(row)] = after_phi_inv(precompose(row)(phi))
-        if conjugate != s.sigma[phi[x]]:
+        if pt != start:
             raise StructureViolation("certificate verification failed")
-    return ClassifyOutcome(p, phi)
+        start = sigma[rho[0]][phi[a * n2 + back]]
+    if start != 0 or len(set(phi)) != s.n:
+        raise StructureViolation("certificate verification failed")
+    for x, (a, i) in enumerate(itertools.product(range(n1), range(n2))):
+        d = (i - a * r) % n2
+        if sigma[phi[x]][0] != phi[d % n1 * n2 + (r * d + 1) % n2]:
+            raise StructureViolation("certificate verification failed")
+    return ClassifyOutcome(p, tuple(phi))
 
 
 def count_family(n: int) -> int:

@@ -4,7 +4,8 @@ Commands: construct, verify, classify, iso, aut, count, enumerate,
 example. Results go to stdout as JSON, human summaries to stderr with
 --verbose. Exit codes: 0 success (or isomorphic), 1 negative verdict
 (axiom failure, ineligible, not isomorphic, invalid or out-of-bound
-parameters), 2 usage or input errors.
+parameters), 2 usage or input errors, 130 interrupted (Ctrl-C) in the
+ybe-lab entry point main; run lets KeyboardInterrupt through.
 """
 
 import argparse
@@ -246,7 +247,12 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        code = 130
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from .errors import (
     NotMplAtMost2,
     NotTwoReductive,
 )
-from .perm import Perm, compose, inverse, is_perm
+from .perm import compose, inverse, is_perm
 from .retract import is_2_reductive, is_mpl_at_most_2
 
 
@@ -46,12 +46,20 @@ def c_params_valid(n1: int, n2: int, r: int) -> bool:
     )
 
 
-def member_rows(p) -> tuple[Perm, ...]:
-    """The sigma table of C(p), with one row tuple shared by each row class.
+def build_c(p) -> Solution:
+    """Build the family member for a valid parameter triple.
 
     Row (a, i) is (b, j) -> (b + d mod n1, j + r*d + 1 mod n2) with
     d = i - a*r mod n2, so it depends only on (d mod n1, r*d mod n2), its
-    class: equal rows are one tuple, built once. Raises InvalidParams.
+    class: equal rows are one tuple, built once, which trusted_solution
+    inverts once. Raises InvalidParams. The member is a solution by
+    construction, so its axioms are not checked here;
+    test_build_c_members_are_solutions and acceptance criterion 4 verify
+    every member up to 24 points, and test_build_c_tau_matches_closed_form
+    checks its tau against
+    tau_{(b,j)}((a,i)) = (a + b*r - (j+1), i - (j+1)*r + b*r^2 - 1).
+    No library path builds a member, or a member row, to check a
+    certificate: classify checks one point per row in the input's labels.
     """
     n1, n2, r = p
     if not c_params_valid(n1, n2, r):
@@ -70,23 +78,7 @@ def member_rows(p) -> tuple[Perm, ...]:
                     [(b + d) % n1 * n2 + j for b in range(n1) for j in cycle]
                 )
             rows.append(row)
-    return tuple(rows)
-
-
-def build_c(p) -> Solution:
-    """Build the family member for a valid parameter triple.
-
-    Its rows are member_rows(p), one shared tuple per row class, which
-    trusted_solution inverts once. The member is a solution by
-    construction, so its axioms are not checked here;
-    test_build_c_members_are_solutions and acceptance criterion 4 verify
-    every member up to 24 points, and test_build_c_tau_matches_closed_form
-    checks its tau against
-    tau_{(b,j)}((a,i)) = (a + b*r - (j+1), i - (j+1)*r + b*r^2 - 1).
-    No library path builds a member to check a certificate: classify
-    conjugates member_rows once per class instead.
-    """
-    return trusted_solution(member_rows(p))
+    return trusted_solution(tuple(rows))
 
 
 def pi_isotope(s: Solution, pi) -> Solution:

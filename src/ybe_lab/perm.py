@@ -19,7 +19,7 @@ classify's parameter recovery read element orders off it. class_ids
 numbers the classes of equal rows, the retraction's classes, for
 retract, classify and core's cycle scan.
 precompose turns a permutation into an itemgetter that composes many
-others with it in C, for classify's certificate and automorphism work.
+others with it in C, for aut's lists of automorphisms.
 """
 
 import math

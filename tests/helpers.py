@@ -110,6 +110,44 @@ def relabel(sigma, g):
     return [[g[sigma[ginv[x]][ginv[y]]] for y in range(n)] for x in range(n)]
 
 
+def certificate_by_conjugation(sigma, p):
+    """The certificate C(p) -> sigma checked on whole rows, or None.
+
+    phi(a*n2 + i) = (rho^i . lam^a)(0) with rho = sigma_0 and
+    lam = sigma_{rho(0)} . rho^{-r-1}, as the library builds it. phi is
+    kept only if it is a bijection with phi(m_x(y)) = sigma_{phi(x)}(phi(y))
+    for every member row m_x, written from the closed form
+    m_(a,i)((b,j)) = (b + d mod n1, j + r*d + 1 mod n2), d = i - a*r mod n2,
+    and every point y: no regularity argument, every cell compared.
+    """
+    n1, n2, r = p
+    n = n1 * n2
+    rho = list(sigma[0])
+    rho_inv = [0] * n
+    for x, y in enumerate(rho):
+        rho_inv[y] = x
+    back = list(range(n))
+    for _ in range(r + 1):
+        back = [rho_inv[y] for y in back]
+    lam = [sigma[rho[0]][back[x]] for x in range(n)]
+    phi, start = [], 0
+    for _ in range(n1):
+        pt = start
+        for _ in range(n2):
+            phi.append(pt)
+            pt = rho[pt]
+        start = lam[start]
+    if sorted(phi) != list(range(n)):
+        return None
+    for a, i in itertools.product(range(n1), range(n2)):
+        d = (i - a * r) % n2
+        row = sigma[phi[a * n2 + i]]
+        for b, j in itertools.product(range(n1), range(n2)):
+            if phi[(b + d) % n1 * n2 + (j + r * d + 1) % n2] != row[phi[b * n2 + j]]:
+                return None
+    return tuple(phi)
+
+
 def swap_corrupted(rng: random.Random, table):
     """Copy of the table with two entries of one row swapped; rows stay bijective."""
     bad = [list(row) for row in table]

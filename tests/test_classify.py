@@ -8,6 +8,7 @@ from helpers import (
     CYCLIC_LEVEL3,
     LEVEL3,
     STALLED,
+    certificate_by_conjugation,
     forbid_group_closure,
     is_transitive,
     oracle_is_solution,
@@ -273,25 +274,73 @@ def test_recover_params_hashes_the_rows_once(monkeypatch):
 
 
 def test_explicit_iso_certificates():
+    # every member up to 48 points, as built and relabeled: the one-point
+    # check must accept a certificate that holds on every cell
     rng = random.Random(13)
-    for p in ((1, 4, 2), (2, 2, 0), (2, 4, 0), (1, 8, 4)):
-        s = build_c(p)
-        outcome = explicit_iso_to_c(s)
-        assert outcome.params == CParams(*p)
-        check_certificate(outcome.phi, build_c(outcome.params), s)
-        t, _ = shuffled_copy(s, rng)
-        outcome = explicit_iso_to_c(t)
-        assert outcome.params == CParams(*p)
-        check_certificate(outcome.phi, build_c(outcome.params), t)
+    for n in range(1, 49):
+        for p in enumerate_family(n):
+            s = build_c(p)
+            for t in (s, shuffled_copy(s, rng)[0]):
+                outcome = explicit_iso_to_c(t)
+                assert outcome.params == p
+                check_certificate(outcome.phi, s, t)
 
 
-def test_certificate_check_on_row_classes_bites(monkeypatch):
-    # a wrong valid triple of the same size gives a certificate that fails
-    # the per-class row comparison
-    s = build_c((1, 4, 0))
-    monkeypatch.setattr("ybe_lab.classify.recover_params", lambda _: CParams(1, 4, 2))
-    with pytest.raises(StructureViolation):
-        explicit_iso_to_c(s)
+def forced_outcomes(s, triples, monkeypatch):
+    """explicit_iso_to_c(s) with recover_params forced to each triple: the
+    certificate, or the StructureViolation message."""
+    out = []
+    for q in triples:
+        monkeypatch.setattr("ybe_lab.classify.recover_params", lambda _, q=q: q)
+        try:
+            out.append(explicit_iso_to_c(s).phi)
+        except StructureViolation as exc:
+            out.append(str(exc))
+    return out
+
+
+def test_certificate_point_check_rejects_every_wrong_triple(monkeypatch):
+    # distinct triples are never isomorphic, so for every relabeled member
+    # up to 36 points each other valid triple of its size must fail the
+    # walk closures, the bijection or the one-point check
+    rng = random.Random(20261021)
+    for n in range(1, 37):
+        family = enumerate_family(n)
+        for p in family:
+            s = relabeled_member(p, rng)
+            wrong = [q for q in family if q != p]
+            assert forced_outcomes(s, wrong, monkeypatch) == [
+                "certificate verification failed"
+            ] * len(wrong)
+
+
+def check_against_whole_rows(sizes, seed, monkeypatch):
+    """For a relabeled copy of every member on each size, and every split
+    (n1, n/n1, r) with r < n/n1, valid or not: explicit_iso_to_c with
+    recover_params forced to the split gives the certificate of the
+    whole-row check, or its rejection. The one-point argument needs no
+    more than n1*n2 = n, and splits with n1 not dividing n2 are the ones
+    that reach the walk-closure check."""
+    rng = random.Random(seed)
+    for n in sizes:
+        splits = [CParams(n1, n // n1, r) for n1 in divisors(n) for r in range(n // n1)]
+        for p in enumerate_family(n):
+            s = relabeled_member(p, rng)
+            expected = [certificate_by_conjugation(s.sigma, q) for q in splits]
+            assert expected[splits.index(p)] is not None
+            assert forced_outcomes(s, splits, monkeypatch) == [
+                "certificate verification failed" if phi is None else phi
+                for phi in expected
+            ]
+
+
+def test_certificate_point_check_matches_whole_row_check(monkeypatch):
+    check_against_whole_rows(range(1, 25), 20261022, monkeypatch)
+
+
+@pytest.mark.slow
+def test_certificate_point_check_matches_whole_row_check_to_100_points(monkeypatch):
+    check_against_whole_rows(range(1, 101), 20261023, monkeypatch)
 
 
 def relabeled_member(p, rng):

@@ -7,7 +7,7 @@ import pytest
 import golden
 from helpers import STALLED, forbid_group_closure
 from ybe_lab.classify import DEFAULT_ORACLE_BOUND
-from ybe_lab.cli import _build_parser, run
+from ybe_lab.cli import _build_parser, main, run
 from ybe_lab.construct import build_c, build_nonabelian_example
 from ybe_lab.core import solution_from_table, solution_to_json
 
@@ -328,6 +328,24 @@ def test_verbose_notes_on_stderr(capsys):
     code, out, err = invoke(capsys, "--verbose", "construct", "1", "2", "0")
     assert code == 0
     assert "family member" in err
+
+
+def test_interrupt_exits_130_without_a_traceback(capsys, monkeypatch):
+    # Ctrl-C inside a command: main prints one line and exits 130, while
+    # run lets the KeyboardInterrupt through to in-process callers
+    def interrupted(n):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("ybe_lab.cli.count_family", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run(["count", "4"])
+    monkeypatch.setattr("sys.argv", ["ybe-lab", "count", "4"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 130
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: interrupted\n"
 
 
 def test_commands_in_sequence_share_no_state(capsys, tmp_path):

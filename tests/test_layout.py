@@ -146,16 +146,40 @@ def test_only_perm_binds_group_closure():
 
 
 def test_no_member_is_built_to_check_a_certificate():
-    # classify checks certificates on the shared row classes of
-    # construct.member_rows; neither it nor aut builds a member Solution
-    # to check one. The oracle's completed tables are the one exception:
-    # exhaustive_enumerate wraps each as a Solution to record it.
+    # classify checks a certificate at one point per member row, in the
+    # input's labels, and aut reads its group off the input; neither
+    # builds a member Solution. The oracle's completed tables are the one
+    # exception: exhaustive_enumerate wraps each as a Solution to record it.
     for name in ("classify", "aut"):
         assert "build_c" not in referenced_names(MODULES[name]), name
     assert "trusted_solution" not in referenced_names(MODULES["aut"])
     assert functions_reading(MODULES["classify"], "trusted_solution") == {
         "exhaustive_enumerate"
     }
+
+
+def test_certificates_and_automorphisms_stay_in_the_input_labels():
+    # the member's rows, translations and shears are never built as
+    # permutations to be conjugated through phi: classify takes only the
+    # triple type from construct, composes nothing by itemgetter, and
+    # neither module inverts phi or evaluates the closed form
+    construct_imports = [
+        imported for module, imported in package_imports(MODULES["classify"])
+        if module == "construct"
+    ]
+    assert construct_imports == [["CParams"]]
+    assert "precompose" not in referenced_names(MODULES["classify"])
+    for name in ("classify", "aut"):
+        tree = MODULES[name]
+        assert "member_rows" not in referenced_names(tree), name
+        inverted = [
+            ast.unparse(node.args[0]) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "inverse"
+        ]
+        assert "phi" not in inverted, name
+    assert not functions_reading(MODULES["aut"], "aut_c_closed_form")
 
 
 def test_only_perm_defines_class_ids():
