@@ -13,6 +13,7 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .perm import DEFAULT_MAX_CLOSURE, Perm, PermGroup, inverse, orbits, precompose
+from .util import is_int
 
 
 def automorphism_group(s: Solution) -> PermGroup:
@@ -80,12 +81,12 @@ def aut_c_closed_form(p, s: int, t: int) -> Perm:
 
     f_{(s,t)}((a,i)) = (s + a + d*d', t + i + r*d*d') with d = i - a*r,
     d' = t - s*r (mod n2). These n1*n2 maps form the full automorphism
-    group of the member.
+    group of the member. Raises ValueError unless (s, t) is a point.
     """
     n1, n2, r = p
     if not c_params_valid(n1, n2, r):
         raise InvalidParams(f"invalid triple ({n1}, {n2}, {r})")
-    if not (0 <= s < n1 and 0 <= t < n2):
+    if not (is_int(s) and is_int(t) and 0 <= s < n1 and 0 <= t < n2):
         raise ValueError("index point outside the carrier")
     d_st = (t - s * r) % n2
     img = []

@@ -18,7 +18,7 @@ The isotopes connect level <= 2 to 2-reductivity: composing every row of a
 
 from typing import NamedTuple
 
-from .core import Solution, trusted_solution
+from .core import Solution
 from .errors import (
     ConditionFailed,
     InvalidParams,
@@ -27,6 +27,7 @@ from .errors import (
 )
 from .perm import compose, inverse, is_perm
 from .retract import is_2_reductive, is_mpl_at_most_2
+from .util import is_int
 
 
 class CParams(NamedTuple):
@@ -36,9 +37,10 @@ class CParams(NamedTuple):
 
 
 def c_params_valid(n1: int, n2: int, r: int) -> bool:
-    """True iff n1 | n2, 0 <= r < n2/n1 and n2 | n1*r^2."""
+    """True iff all three are ints, n1 | n2, 0 <= r < n2/n1 and n2 | n1*r^2."""
     return (
-        n1 >= 1
+        all(map(is_int, (n1, n2, r)))
+        and n1 >= 1
         and n2 >= 1
         and n2 % n1 == 0
         and 0 <= r < n2 // n1
@@ -51,12 +53,11 @@ def build_c(p) -> Solution:
 
     Row (a, i) is (b, j) -> (b + d mod n1, j + r*d + 1 mod n2) with
     d = i - a*r mod n2, so it depends only on (d mod n1, r*d mod n2), its
-    class: equal rows are one tuple, built once, which trusted_solution
-    inverts once. Raises InvalidParams. The member is a solution by
-    construction, so its axioms are not checked here;
-    test_build_c_members_are_solutions and acceptance criterion 4 verify
-    every member up to 24 points, and test_build_c_tau_matches_closed_form
-    checks its tau against
+    class: equal rows are one tuple, built once. Raises InvalidParams.
+    The member is a solution by construction, so its axioms are not
+    checked here; test_build_c_members_are_solutions and acceptance
+    criterion 4 verify every member up to 24 points, and
+    test_build_c_tau_matches_closed_form checks its derived tau against
     tau_{(b,j)}((a,i)) = (a + b*r - (j+1), i - (j+1)*r + b*r^2 - 1).
     No library path builds a member, or a member row, to check a
     certificate: classify checks one point per row in the input's labels.
@@ -78,7 +79,7 @@ def build_c(p) -> Solution:
                     [(b + d) % n1 * n2 + j for b in range(n1) for j in cycle]
                 )
             rows.append(row)
-    return trusted_solution(tuple(rows))
+    return Solution(len(rows), tuple(rows))
 
 
 def pi_isotope(s: Solution, pi) -> Solution:
@@ -101,22 +102,22 @@ def pi_isotope(s: Solution, pi) -> Solution:
             if lhs != rhs:
                 raise ConditionFailed(x, y)
     rows = tuple(compose(s.sigma[x], pi) for x in range(s.n))
-    return trusted_solution(rows)
+    return Solution(len(rows), rows)
 
 
 def inverse_isotope(s: Solution, e: int) -> Solution:
     """Compose every row of a level <= 2 solution with sigma_e^{-1}.
 
     The result is 2-reductive with identity row at e, and composing its
-    rows back with sigma_e recovers s.
+    rows back with sigma_e recovers s. Raises ValueError unless e is a point.
     """
-    if not 0 <= e < s.n:
-        raise ValueError(f"base point {e} outside carrier")
+    if not (is_int(e) and 0 <= e < s.n):
+        raise ValueError(f"base point {e!r} outside carrier")
     if not is_mpl_at_most_2(s):
         raise NotMplAtMost2("solution has level greater than 2")
     inv_e = inverse(s.sigma[e])
     rows = tuple(compose(row, inv_e) for row in s.sigma)
-    return trusted_solution(rows)
+    return Solution(len(rows), rows)
 
 
 def build_nonabelian_example(n: int) -> Solution:
@@ -138,5 +139,4 @@ def build_nonabelian_example(n: int) -> Solution:
                 for j in range(2):
                     row.append(2 * bb + (1 - j))
             rows.append(tuple(row))
-    rows = tuple(rows)
-    return trusted_solution(rows)
+    return Solution(len(rows), tuple(rows))

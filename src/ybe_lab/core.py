@@ -3,11 +3,12 @@
 A solution on X = {0..n-1} is an n x n table with sigma[x][y] = sigma_x(y)
 whose rows are bijections, such that r(x, y) = (sigma_x(y), tau_y(x))
 satisfies the braid relation and r . r = id. The right action tau is not
-free data: tau_y(x) = sigma^{-1}_{sigma_x(y)}(x), and that derived table
-is cached on the Solution. Involutivity holds by construction of tau on
-every table with bijective rows: if r(x, y) = (u, v), then sigma_u(v) = x
-and tau_v(u) = sigma^{-1}_x(u) = y. So it is never scanned, and a report
-on bijective rows always sets involutive.
+free data: tau_y(x) = sigma^{-1}_{sigma_x(y)}(x). A Solution is its sigma
+table alone, and tau_from_sigma is the one place that derives the tau
+table, on request. Involutivity holds by construction of tau on every
+table with bijective rows: if r(x, y) = (u, v), then sigma_u(v) = x and
+tau_v(u) = sigma^{-1}_x(u) = y. So it is never scanned, and a report on
+bijective rows always sets involutive.
 
 Equivalently, sigma satisfies the cycle condition
 
@@ -41,7 +42,7 @@ solution_from_table checks the axioms on tables from outside the library
 (CLI files, direct calls) through the same report as verify_solution;
 test_solution_from_table_agrees_with_verify checks that both decide
 alike. Tables the library builds are solutions by a theorem and become
-Solutions through trusted_solution, which checks nothing;
+Solution(n, rows) directly, with nothing checked;
 tests/test_construct.py, test_retract.py and test_classify.py verify
 them (the docstrings of build_c, retract and exhaustive_enumerate name
 the tests).
@@ -49,13 +50,13 @@ the tests).
 _rows is the only validator of a table, and a Solution's rows are checked
 like any table's. In one pass it checks the shape, the entries and the
 bijectivity of every row and inverts each distinct row once, so equal
-rows share one inverse tuple; every kernel (_tau, _cycle, _diagonal) then
-works on those rows and their shared inverses.
+rows share one inverse tuple; every kernel (tau_from_sigma, _cycle,
+_diagonal) then works on those rows and their shared inverses.
 """
 
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .errors import AxiomViolation, NotBijectiveRow, NotNonDegenerate
@@ -64,14 +65,19 @@ from .perm import Perm, class_ids, inverse, is_perm
 
 @dataclass(frozen=True)
 class Solution:
-    """Immutable solution; sigma[x][y] = sigma_x(y), tau[y][x] = tau_y(x).
+    """Immutable solution held as its sigma table, sigma[x][y] = sigma_x(y).
 
-    Outside tables go through solution_from_table, which checks the axioms.
+    Outside tables go through solution_from_table, which checks the axioms;
+    tau_from_sigma derives the right action on request. The tau field
+    exists only for the benchmark's positional three-argument call
+    Solution(n, sigma, tau): the library never fills, reads or compares
+    it, so equality and hashing depend on (n, sigma) alone, and ROADMAP
+    item 1 removes it.
     """
 
     n: int
     sigma: tuple[Perm, ...]
-    tau: tuple[Perm, ...]
+    tau: tuple[Perm, ...] | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -160,31 +166,17 @@ def _rows(s, n=_NO_N) -> tuple[tuple[Perm, ...], list[Perm]]:
     return rows, inv
 
 
-def _tau(rows, inv) -> tuple[Perm, ...]:
-    # tau_y(x) = inv[sigma_x(y)][x], read down column y of sigma
-    return tuple([
-        tuple([inv[v][x] for x, v in enumerate(column)]) for column in zip(*rows)
-    ])
-
-
 def tau_from_sigma(s) -> tuple[Perm, ...]:
     """Derived right action: tau[y][x] = sigma^{-1}_{sigma_x(y)}(x).
 
     This is the unique table making (sigma, tau) involutive. Raises
     NotBijectiveRow for the first row that is not a bijection.
     """
-    return _tau(*_rows(s))
-
-
-def trusted_solution(rows) -> Solution:
-    """Solution on rows the library built itself, with tau derived.
-
-    Nothing is checked: the rows must be a tuple of bijective row tuples
-    forming a solution by a theorem (see the module docstring). Each
-    distinct row is inverted once, as in _rows.
-    """
-    inverses = {row: inverse(row) for row in set(rows)}
-    return Solution(len(rows), rows, _tau(rows, list(map(inverses.__getitem__, rows))))
+    rows, inv = _rows(s)
+    # tau_y(x) = inv[sigma_x(y)][x], read down column y of sigma
+    return tuple([
+        tuple([inv[v][x] for x, v in enumerate(column)]) for column in zip(*rows)
+    ])
 
 
 def check_cycle_condition(s) -> tuple[bool, tuple[int, int, int] | None]:
@@ -349,7 +341,7 @@ def solution_from_table(n: int, sigma) -> Solution:
     report = _report(rows, inv)
     if not report.ok:
         raise AxiomViolation(report)
-    return Solution(n, rows, _tau(rows, inv))
+    return Solution(n, rows)
 
 
 def solution_to_json(s: Solution) -> str:

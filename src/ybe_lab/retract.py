@@ -8,7 +8,7 @@ test on ids a caller already has, for classify's parameter recovery.
 
 from dataclasses import dataclass
 
-from .core import Solution, trusted_solution
+from .core import Solution
 from .errors import CarrierTooSmall
 from .perm import class_ids
 
@@ -36,7 +36,7 @@ def retract(s: Solution) -> RetractionResult:
         first.setdefault(c, x)
     reps = list(first.values())
     qrows = tuple(tuple(proj[s.sigma[x][y]] for y in reps) for x in reps)
-    return RetractionResult(trusted_solution(qrows), tuple(proj))
+    return RetractionResult(Solution(len(qrows), qrows), tuple(proj))
 
 
 def mpl(s: Solution) -> int | None:

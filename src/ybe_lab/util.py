@@ -3,6 +3,11 @@
 import math
 
 
+def is_int(v) -> bool:
+    """The package's int rule: an int, never a bool (True == 1 otherwise)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}."""
     if n < 1:

@@ -18,7 +18,7 @@ from ybe_lab.aut import aut_c_closed_form, automorphism_group, is_aut_cyclic_c1n
 from ybe_lab.classify import enumerate_family, explicit_iso_to_c, iso_search
 from ybe_lab.cli import run
 from ybe_lab.construct import CParams, build_c, build_nonabelian_example
-from ybe_lab.core import Solution, solution_from_table, solution_to_json, tau_from_sigma
+from ybe_lab.core import Solution, solution_from_table, solution_to_json
 from ybe_lab.errors import (
     InvalidParams,
     NotAbelian,
@@ -194,7 +194,7 @@ def test_automorphism_group_falls_back_past_the_closure_bound(monkeypatch):
     perm = list(range(512))
     random.Random(4).shuffle(perm)
     rows = tuple(map(tuple, relabel(build_c((2, 256, 16)).sigma, perm)))
-    member = Solution(512, rows, tau_from_sigma(rows))
+    member = Solution(512, rows)
     assert explicit_iso_to_c(member).params == (2, 256, 16)
 
 
@@ -223,6 +223,13 @@ def test_closed_form_input_checks():
         aut_c_closed_form(CParams(1, 4, 2), 0, 4)
     with pytest.raises(ValueError):
         aut_c_closed_form(CParams(1, 4, 2), 0, -1)
+
+
+@pytest.mark.parametrize("point", [(0.5, 0), (1.0, 0), (0, 2.0), (True, 0), (0, False), ("0", 0)])
+def test_closed_form_index_point_must_be_ints(point):
+    # True == 1 and 1.0 == 1, but neither names a point
+    with pytest.raises(ValueError):
+        aut_c_closed_form(CParams(2, 4, 0), *point)
 
 
 def test_cyclicity_criterion_known_values():

@@ -11,6 +11,7 @@ from helpers import (
     oracle_is_solution,
     random_solution_tables,
 )
+from ybe_lab.aut import aut_c_closed_form
 from ybe_lab.classify import enumerate_family
 from ybe_lab.construct import (
     CParams,
@@ -20,7 +21,7 @@ from ybe_lab.construct import (
     inverse_isotope,
     pi_isotope,
 )
-from ybe_lab.core import solution_from_table, tau_from_sigma, verify_solution
+from ybe_lab.core import Solution, solution_from_table, tau_from_sigma, verify_solution
 from ybe_lab.errors import (
     CarrierTooSmall,
     ConditionFailed,
@@ -33,10 +34,11 @@ from ybe_lab.retract import is_2_reductive, is_mpl_at_most_2, mpl
 
 
 def assert_solution(s):
-    """Both verification routes, the independent oracle, and the cached tau."""
+    """Both verification routes, the independent oracle, and bijective
+    rows of the derived tau."""
     assert verify_solution(s).ok
     assert oracle_is_solution([list(r) for r in s.sigma])
-    assert s.tau == tau_from_sigma(s.sigma)
+    assert all(sorted(row) == list(range(s.n)) for row in tau_from_sigma(s))
 
 
 def test_c_params_valid():
@@ -59,6 +61,19 @@ def test_c_params_valid():
     assert not c_params_valid(0, 4, 0)
     assert not c_params_valid(2, 0, 0)
     assert not c_params_valid(1, 4, -1)
+
+
+@pytest.mark.parametrize(
+    "p", [(2.0, 4, 0), (1, 4.0, 0), (1, 4, 0.0), (True, 4, 0), (1, 4, False), ("1", 4, 0)]
+)
+def test_params_must_be_ints(p):
+    # True == 1 and 2.0 == 2, but only ints are parameters, so build_c and
+    # aut_c_closed_form reject the triple as invalid
+    assert not c_params_valid(*p)
+    with pytest.raises(InvalidParams):
+        build_c(p)
+    with pytest.raises(InvalidParams):
+        aut_c_closed_form(p, 0, 0)
 
 
 def test_build_c_rejects_invalid_params():
@@ -133,7 +148,7 @@ def test_build_c_tau_matches_closed_form():
     # tau_{(b,j)}((a,i)) = (a + b*r - (j+1), i - (j+1)*r + b*r^2 - 1)
     for n in range(1, 25):
         for n1, n2, r in enumerate_family(n):
-            tau = build_c((n1, n2, r)).tau
+            tau = tau_from_sigma(build_c((n1, n2, r)))
             for b in range(n1):
                 for j in range(n2):
                     for a in range(n1):
@@ -141,6 +156,18 @@ def test_build_c_tau_matches_closed_form():
                             aa = (a + b * r - (j + 1)) % n1
                             ii = (i - (j + 1) * r + b * r * r - 1) % n2
                             assert tau[b * n2 + j][a * n2 + i] == aa * n2 + ii
+
+
+def test_three_argument_solution_is_the_same_solution():
+    # the benchmark builds Solution(n, rows, tau) positionally; tau takes
+    # no part in equality or hashing, so that Solution is the member
+    for p in ((1, 4, 2), (2, 8, 2), (3, 9, 0)):
+        member = build_c(p)
+        rows = member.sigma
+        three = Solution(len(rows), rows, tau_from_sigma(rows))
+        for other in (member, solution_from_table(len(rows), [list(r) for r in rows])):
+            assert three == other and hash(three) == hash(other)
+            assert other.tau is None
 
 
 def test_build_c_group_structure():
@@ -206,6 +233,13 @@ def test_inverse_isotope_input_checks():
         inverse_isotope(solution_from_table(4, LEVEL3), 0)
     with pytest.raises(CarrierTooSmall):
         inverse_isotope(solution_from_table(1, [[0]]), 0)
+
+
+@pytest.mark.parametrize("e", [True, False, 1.0, 0.5, "0", None])
+def test_inverse_isotope_base_point_must_be_an_int(e):
+    # True == 1 and 1.0 == 1, but neither names a point
+    with pytest.raises(ValueError):
+        inverse_isotope(build_c((1, 4, 2)), e)
 
 
 def test_isotopes_are_mutually_inverse():

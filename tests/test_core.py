@@ -356,7 +356,7 @@ def test_solution_from_table():
     assert isinstance(s, Solution)
     assert s.n == 4
     assert s.sigma == tuple(TWIST4)
-    assert s.tau == tau_from_sigma(TWIST4)
+    assert tau_from_sigma(s) == tuple(TWIST4)
 
 
 def test_solution_from_table_rejects_bad_shapes():
@@ -408,14 +408,14 @@ def test_one_pass_validation_precedence():
 def test_a_solution_is_checked_like_any_table():
     # _rows trusts no type: a directly built Solution with a repeating row
     # is rejected as its raw table would be
-    bad = Solution(2, ((0, 0), (0, 1)), ())
+    bad = Solution(2, ((0, 0), (0, 1)))
     assert verify_solution(bad) == VerifyReport(False, False, False, False, False, None)
     for helper in (check_cycle_condition, tau_from_sigma, t_map):
         with pytest.raises(NotBijectiveRow) as info:
             helper(bad)
         assert info.value.row == 0
     with pytest.raises(ValueError):
-        verify_solution(Solution(1, ((True,),), ()))
+        verify_solution(Solution(1, ((True,),)))
     good = solution_from_table(4, TWIST4)
     assert verify_solution(good).ok and t_map(good) == t_map(TWIST4)
 

@@ -126,7 +126,7 @@ def test_cli_exits_0_1_or_2_on_any_text(text, command):
 @hypothesis.given(TABLES, st.booleans(), st.data())
 def test_core_entry_points_return_or_raise_documented_errors(table, wrap, data):
     # a directly built Solution is checked like its raw table
-    s = Solution(len(table), tuple(table), ()) if wrap else table
+    s = Solution(len(table), tuple(table)) if wrap else table
     calls = (
         (verify_solution, ()),
         (check_cycle_condition, (NotBijectiveRow,)),

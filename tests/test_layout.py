@@ -91,6 +91,20 @@ def functions_reading(tree, name):
     return owners
 
 
+def calls_to(tree, name):
+    """Every call name(...) or x.name(...) in the tree."""
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def functions_calling(tree, name):
+    """Top-level definitions (or "<module>") whose code calls name."""
+    return {getattr(node, "name", "<module>") for node in tree.body if calls_to(node, name)}
+
+
 def test_package_is_found():
     assert {"__init__", "aut", "classify", "cli", "core", "perm"} <= set(MODULES)
 
@@ -108,10 +122,10 @@ def test_core_imports_only_errors_and_perm():
 
 
 def test_core_checks_and_inverts_rows_in_one_pass():
-    # _rows checks and inverts every row of a raw table, trusted_solution
-    # inverts rows the library built; is_perm tests only the diagonal map
+    # _rows checks and inverts every row of a table, and nothing else in
+    # core inverts a row; is_perm tests only the diagonal map
     core = MODULES["core"]
-    assert functions_reading(core, "inverse") == {"_rows", "trusted_solution"}
+    assert functions_reading(core, "inverse") == {"_rows"}
     assert functions_reading(core, "is_perm") == {"_diagonal"}
 
 
@@ -152,10 +166,25 @@ def test_no_member_is_built_to_check_a_certificate():
     # exception: exhaustive_enumerate wraps each as a Solution to record it.
     for name in ("classify", "aut"):
         assert "build_c" not in referenced_names(MODULES[name]), name
-    assert "trusted_solution" not in referenced_names(MODULES["aut"])
-    assert functions_reading(MODULES["classify"], "trusted_solution") == {
-        "exhaustive_enumerate"
-    }
+    assert functions_calling(MODULES["aut"], "Solution") == set()
+    assert functions_calling(MODULES["classify"], "Solution") == {"exhaustive_enumerate"}
+
+
+def test_a_solution_is_built_from_sigma_alone():
+    # a Solution is (n, sigma): every library call passes exactly those two
+    # positional arguments, and tau_from_sigma is the one function that
+    # derives a tau table, called by no library path
+    calls = 0
+    for name, tree in MODULES.items():
+        for call in calls_to(tree, "Solution"):
+            calls += 1
+            assert len(call.args) == 2 and not call.keywords, ast.unparse(call)
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        tau_helpers = {f for f in defined if "tau" in f}
+        assert tau_helpers == ({"tau_from_sigma"} if name == "core" else set()), name
+        if name != "__init__":
+            assert not functions_reading(tree, "tau_from_sigma"), name
+    assert calls
 
 
 def test_certificates_and_automorphisms_stay_in_the_input_labels():

@@ -14,7 +14,7 @@ from helpers import (
 
 from ybe_lab.classify import enumerate_family
 from ybe_lab.construct import build_c, build_nonabelian_example
-from ybe_lab.core import Solution, solution_from_table, tau_from_sigma, verify_solution
+from ybe_lab.core import Solution, solution_from_table, verify_solution
 from ybe_lab.errors import CarrierTooSmall
 from ybe_lab.classify import exhaustive_enumerate
 from ybe_lab.retract import is_2_reductive, is_mpl_at_most_2, mpl, retract
@@ -116,7 +116,7 @@ def test_class_id_predicates_match_row_compares():
     for t in tables:
         n = len(t)
         rows = tuple(tuple(row) for row in t)
-        s = Solution(n, rows, tau_from_sigma(rows))
+        s = Solution(n, rows)
         level2 = all(
             rows[rows[y][x]] == rows[rows[0][x]] for x in range(n) for y in range(n)
         )
