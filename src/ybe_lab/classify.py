@@ -53,7 +53,7 @@ from .perm import (
     order,
 )
 from .retract import mpl, mpl_at_most_2_on_classes
-from .util import divisors, square_part
+from .util import check_size, divisors, square_part
 
 DEFAULT_ORACLE_BOUND = 5
 
@@ -271,16 +271,14 @@ def explicit_iso_to_c(s: Solution) -> ClassifyOutcome:
 
 def count_family(n: int) -> int:
     """Number of family members on n points: sum of k/d over d | k."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_size(n)
     k = square_part(n)
     return sum(k // d for d in divisors(k))
 
 
 def count_cyclic(n: int) -> int:
     """Number of family members on n points with cyclic permutation group."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_size(n)
     return square_part(n)
 
 
@@ -291,8 +289,7 @@ def enumerate_family(n: int) -> list[CParams]:
     multiples of t/n1 below n2/n1 (n1^2 divides n, so n1 divides t);
     test_enumerate_family_matches_brute_force checks this up to 2000.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_size(n)
     k = square_part(n)
     t = n // k
     out = []
@@ -328,8 +325,7 @@ def exhaustive_enumerate(
     represented by its lexicographically smallest discovered table, which
     is also discovery order.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_size(n)
     if n > max_n:
         raise BoundExceeded(f"exhaustive search bounded at {max_n} points")
     all_perms = list(itertools.permutations(range(n)))

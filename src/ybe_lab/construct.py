@@ -27,7 +27,7 @@ from .errors import (
 )
 from .perm import compose, inverse, is_perm
 from .retract import is_2_reductive, is_mpl_at_most_2
-from .util import is_int
+from .util import check_size, is_int
 
 
 class CParams(NamedTuple):
@@ -128,8 +128,7 @@ def build_nonabelian_example(n: int) -> Solution:
     2-reductive mesh (b, j) -> (b + i, j) by pi((a,i)) = (-a, 1-i). The
     permutation group has order 2n and is non-abelian for n >= 3.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_size(n)
     rows = []
     for a in range(n):
         for i in range(2):

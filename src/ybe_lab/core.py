@@ -47,20 +47,21 @@ tests/test_construct.py, test_retract.py and test_classify.py verify
 them (the docstrings of build_c, retract and exhaustive_enumerate name
 the tests).
 
-_rows is the only validator of a table, and a Solution's rows are checked
-like any table's. In one pass it checks the shape, the entries and the
-bijectivity of every row and inverts each distinct row once, so equal
-rows share one inverse tuple; every kernel (tau_from_sigma, _cycle,
-_diagonal) then works on those rows and their shared inverses.
+_rows is the only validator of a table, a Solution's rows included. It
+tests shape and entry types over the whole table in C, then checks and
+inverts one row per class of equal rows (perm.class_ids), so equal rows
+share one inverse; only a rejected table is scanned entry by entry. Every
+kernel (tau_from_sigma, _cycle, _diagonal) reads those rows, inverses and ids.
 """
 
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 
 from .errors import AxiomViolation, NotBijectiveRow, NotNonDegenerate
-from .perm import Perm, class_ids, inverse, is_perm
+from .perm import Perm, class_ids, inverse
 
 
 @dataclass(frozen=True)
@@ -117,14 +118,14 @@ def _check_n(n, count) -> None:
         raise ValueError(f"n must be an int equal to the row count {count}")
 
 
-def _rows(s, n=_NO_N) -> tuple[tuple[Perm, ...], list[Perm]]:
-    """The one validating pass: (rows, inv) with inv[x] the inverse of sigma_x.
+def _rows(s, n=_NO_N) -> tuple[tuple[Perm, ...], list[Perm], list[int]]:
+    """The one validating pass: (rows, inv, cid) with inv[x] = sigma_x^{-1}.
 
-    A Solution's rows are checked like any table's. Table and rows must be
-    sequences (collections.abc.Sequence: no sets, dicts or generators), n
-    (if given) must pass _check_n, and entries follow is_perm's rule in
-    [0, n); the first bad shape or entry anywhere raises ValueError,
-    and only then does the first row that repeats an entry raise NotBijectiveRow.
+    cid is perm.class_ids(rows). Table and rows must be sequences (no sets,
+    dicts or generators), n (if given) must pass _check_n, and entries are
+    ints, never bools, in [0, n). The first bad shape or entry anywhere
+    raises ValueError; only then does the first repeating row raise
+    NotBijectiveRow.
     """
     if isinstance(s, Solution):
         s = s.sigma
@@ -136,34 +137,32 @@ def _rows(s, n=_NO_N) -> tuple[tuple[Perm, ...], list[Perm]]:
     n = len(rows)
     if n == 0:
         raise ValueError("empty table")
-    points = set(range(n))
-    inv = []
-    # equal validated rows are the same map (exact ints only), so they
-    # share one inverse tuple
-    inverses: dict[Perm, Perm] = {}
-    repeating = None
-    for x, row in enumerate(rows):
-        if len(row) != n:
-            raise ValueError("table is not square")
-        # exact ints filling range(n) form a bijective row; the type test
-        # comes first, since True and 1.0 equal 1 inside a set
-        bijective = set(map(type, row)) == {int} and set(row) == points
-        if not bijective:
+
+    def name_first_bad_entry():
+        # the row-order scan, run only on a rejected table or on int subclasses
+        for row in rows:
+            if len(row) != n:
+                raise ValueError("table is not square")
             for v in row:
                 if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                     raise ValueError(f"entry {v!r} outside [0, {n})")
-            bijective = len(set(row)) == n
-        if repeating is None:
-            if bijective:
-                qx = inverses.get(row)
-                if qx is None:
-                    qx = inverses[row] = inverse(row)
-                inv.append(qx)
-            else:
-                repeating = x
-    if repeating is not None:
-        raise NotBijectiveRow(repeating)
-    return rows, inv
+
+    # the type test comes first, since True and 1.0 equal 1 inside a set
+    exact = set(map(len, rows)) == {n} and set(map(type, chain(*rows))) == {int}
+    if not exact:
+        name_first_bad_entry()
+    # equal rows of ints are one map: check and invert each class once
+    cid = class_ids(rows)
+    reps = list(dict(zip(cid, rows)).values())
+    points = set(range(n))
+    failing = [row for row in reps if set(row) != points]
+    if failing:
+        # only a failing class can hold an entry outside [0, n)
+        if exact and any(min(row) < 0 or max(row) >= n for row in failing):
+            name_first_bad_entry()
+        raise NotBijectiveRow(rows.index(failing[0]))
+    inverses = [inverse(row) for row in reps]
+    return rows, [inverses[c] for c in cid], cid
 
 
 def tau_from_sigma(s) -> tuple[Perm, ...]:
@@ -172,7 +171,7 @@ def tau_from_sigma(s) -> tuple[Perm, ...]:
     This is the unique table making (sigma, tau) involutive. Raises
     NotBijectiveRow for the first row that is not a bijection.
     """
-    rows, inv = _rows(s)
+    rows, inv, _ = _rows(s)
     # tau_y(x) = inv[sigma_x(y)][x], read down column y of sigma
     return tuple([
         tuple([inv[v][x] for x, v in enumerate(column)]) for column in zip(*rows)
@@ -184,10 +183,8 @@ def check_cycle_condition(s) -> tuple[bool, tuple[int, int, int] | None]:
 
     Returns (True, None) or (False, witness) with the lexicographically
     first failing (a, b, c). Raises NotBijectiveRow for the first row that
-    is not a bijection. The two sides are compared as whole rows: for k
-    classes of equal rows, O(k^2) compositions plus n^2 comparisons of
-    interned ids, or one composition pair for each a < b, O(n^2)
-    compositions, when k^2 > 4n (module docstring).
+    is not a bijection. The two sides are compared as whole rows, per pair
+    of row classes while k^2 <= 4n for k classes (module docstring).
     """
     return _cycle(*_rows(s))
 
@@ -206,7 +203,7 @@ def _composer(n):
     return tuple, (lambda g: itemgetter(*g))
 
 
-def _cycle(rows, inv) -> tuple[bool, tuple[int, int, int] | None]:
+def _cycle(rows, inv, cid) -> tuple[bool, tuple[int, int, int] | None]:
     n = len(rows)
     left, right = _composer(n)
     # The condition at (a, b, c) is the condition at (b, a, c) with its
@@ -214,7 +211,6 @@ def _cycle(rows, inv) -> tuple[bool, tuple[int, int, int] | None]:
     # triple (b, a, c), so the first failing pair with a < b names the
     # first witness. Interning holds up to k^2 composites of n points for
     # k classes, so it runs only while k^2 <= 4n; otherwise the pair scan.
-    cid = class_ids(inv)
     reps = list(dict(zip(cid, inv)).values())
     if len(reps) ** 2 <= 4 * n:
         # The lhs at (a, b), sigma^{-1}_{sigma^{-1}_a(b)} sigma^{-1}_a,
@@ -258,7 +254,7 @@ def _cycle(rows, inv) -> tuple[bool, tuple[int, int, int] | None]:
 def _diagonal(inv) -> Perm | None:
     # T(a) = sigma^{-1}_a(a), or None when T is not a bijection
     img = tuple(inv[a][a] for a in range(len(inv)))
-    return img if is_perm(img) else None
+    return img if len(set(img)) == len(img) else None
 
 
 def t_map(s) -> Perm:
@@ -298,11 +294,11 @@ def _braid_witness(rows, inv) -> tuple[int, int, int] | None:
     return None
 
 
-def _report(rows, inv) -> VerifyReport:
+def _report(rows, inv, cid) -> VerifyReport:
     # the one decision on bijective rows: the cycle scan decides the braid
     # relation too (module docstring), and the scalar scan runs only to
     # name the witness of a rejected table
-    ok = _cycle(rows, inv)[0]
+    ok = _cycle(rows, inv, cid)[0]
     wit = None if ok else _braid_witness(rows, inv)
     return VerifyReport(True, ok, _diagonal(inv) is not None, ok, True, wit)
 
@@ -321,10 +317,10 @@ def verify_solution(s) -> VerifyReport:
     else is checkable and all flags are reported False.
     """
     try:
-        rows, inv = _rows(s)
+        table = _rows(s)
     except NotBijectiveRow:
         return VerifyReport(False, False, False, False, False, None)
-    return _report(rows, inv)
+    return _report(*table)
 
 
 def solution_from_table(n: int, sigma) -> Solution:
@@ -337,11 +333,11 @@ def solution_from_table(n: int, sigma) -> Solution:
     table or n (_check_n), NotBijectiveRow for the first non-bijective
     row, and AxiomViolation carrying that report when any axiom fails.
     """
-    rows, inv = _rows(sigma, n)
-    report = _report(rows, inv)
+    table = _rows(sigma, n)
+    report = _report(*table)
     if not report.ok:
         raise AxiomViolation(report)
-    return Solution(n, rows)
+    return Solution(n, table[0])
 
 
 def solution_to_json(s: Solution) -> str:

@@ -17,7 +17,7 @@ neither loops over pairs of elements. cycle_length walks one cycle: an
 abelian group is regular on each orbit, so invariant_factors and
 classify's parameter recovery read element orders off it. class_ids
 numbers the classes of equal rows, the retraction's classes, for
-retract, classify and core's cycle scan.
+retract, classify and core's table check, whose ids the cycle scan reads.
 precompose turns a permutation into an itemgetter that composes many
 others with it in C, for aut's lists of automorphisms.
 """

@@ -8,6 +8,14 @@ def is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def check_size(n) -> None:
+    """The package's rule for a number of points: an int (is_int), at least 1."""
+    if not is_int(n):
+        raise ValueError("n must be an int")
+    if n < 1:
+        raise ValueError("n must be positive")
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}."""
     if n < 1:

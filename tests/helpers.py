@@ -26,15 +26,21 @@ CYCLIC_LEVEL3 = [
 ]
 
 
-def _pair_map(table):
-    """The map r(x, y) = (sigma_x(y), tau_y(x)) as a dict, with tau derived
-    from sigma so that r is involutive; rows must be bijective."""
+def _inverse_rows(table):
+    """inv[x][v] = y with table[x][y] = v; rows must be bijective."""
     n = len(table)
-    # inv[x][v] = y  with table[x][y] = v
     inv = [[0] * n for _ in range(n)]
     for x, row in enumerate(table):
         for y, v in enumerate(row):
             inv[x][v] = y
+    return inv
+
+
+def _pair_map(table):
+    """The map r(x, y) = (sigma_x(y), tau_y(x)) as a dict, with tau derived
+    from sigma so that r is involutive; rows must be bijective."""
+    n = len(table)
+    inv = _inverse_rows(table)
     r = {}
     for x in range(n):
         for y in range(n):
@@ -60,45 +66,75 @@ def oracle_is_solution(table) -> bool:
     return oracle_braid_witness(table) is None
 
 
+def _braid_sides(r, x, y, z):
+    """r23 r12 r23 and r12 r23 r12 at (x, y, z), applying r step by step."""
+    b, c = r[(y, z)]
+    a, b2 = r[(x, b)]
+    c2, d = r[(b2, c)]
+    e, f = r[(x, y)]
+    g, h = r[(f, z)]
+    i, j = r[(e, g)]
+    return (a, c2, d), (i, j, h)
+
+
 def oracle_braid_witness(table):
     """First (x, y, z) where the braid relation of r fails, or None.
 
-    Rows must be bijective. Applies r step by step to every triple, in
-    lexicographic order, and compares r23 r12 r23 with r12 r23 r12.
+    Rows must be bijective. Compares both sides on every triple, in
+    lexicographic order.
     """
     n = len(table)
     r = _pair_map(table)
     for x in range(n):
         for y in range(n):
             for z in range(n):
-                b, c = r[(y, z)]
-                a, b2 = r[(x, b)]
-                c2, d = r[(b2, c)]
-                lhs = (a, c2, d)
-                e, f = r[(x, y)]
-                g, h = r[(f, z)]
-                i, j = r[(e, g)]
-                rhs = (i, j, h)
+                lhs, rhs = _braid_sides(r, x, y, z)
                 if lhs != rhs:
                     return (x, y, z)
     return None
 
 
+def braid_fails_at(table, x, y, z) -> bool:
+    """True when the braid relation of r fails at the one triple (x, y, z)."""
+    lhs, rhs = _braid_sides(_pair_map(table), x, y, z)
+    return lhs != rhs
+
+
+def _cycle_sides(inv, a, b, c):
+    """sigma^{-1}_{sigma^{-1}_a(b)} sigma^{-1}_a and its swap, at the point c."""
+    u = inv[a][b]
+    v = inv[b][a]
+    return inv[u][inv[a][c]], inv[v][inv[b][c]]
+
+
 def oracle_cycle_witness(table):
     """First (a, b, c) failing the cycle condition, or None."""
     n = len(table)
-    inv = [[0] * n for _ in range(n)]
-    for x, row in enumerate(table):
-        for y, v in enumerate(row):
-            inv[x][v] = y
+    inv = _inverse_rows(table)
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                u = inv[a][b]
-                v = inv[b][a]
-                if inv[u][inv[a][c]] != inv[v][inv[b][c]]:
+                lhs, rhs = _cycle_sides(inv, a, b, c)
+                if lhs != rhs:
                     return (a, b, c)
     return None
+
+
+def cycle_condition_fails_at(table, a, b, c) -> bool:
+    """True when the cycle condition fails at the one triple (a, b, c)."""
+    lhs, rhs = _cycle_sides(_inverse_rows(table), a, b, c)
+    return lhs != rhs
+
+
+def direct_product(s, t):
+    """Direct product: sigma_(x1,x2) = (sigma_x1, sigma'_x2) on the pairs
+    flattened as x1 * len(t) + x2; the product of solutions is one."""
+    m = len(t)
+    return [
+        [s[x1][y1] * m + t[x2][y2] for y1 in range(len(s)) for y2 in range(m)]
+        for x1 in range(len(s))
+        for x2 in range(m)
+    ]
 
 
 def relabel(sigma, g):

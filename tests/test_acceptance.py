@@ -13,6 +13,10 @@ from contextlib import contextmanager
 import pytest
 
 from helpers import (
+    STALLED,
+    braid_fails_at,
+    cycle_condition_fails_at,
+    direct_product,
     is_cyclic,
     is_regular,
     is_transitive,
@@ -32,7 +36,7 @@ from ybe_lab.classify import (
     recover_params,
 )
 from ybe_lab.construct import CParams, build_c, build_nonabelian_example
-from ybe_lab.core import solution_from_table, verify_solution
+from ybe_lab.core import check_cycle_condition, solution_from_table, verify_solution
 from ybe_lab.errors import NotAbelian
 from ybe_lab.perm import (
     compose,
@@ -352,3 +356,22 @@ def test_criterion_17_iso_of_two_1024_point_members_sharing_invariants():
         loaded.append(solution_from_table(member.n, relabel(member.sigma, g)))
     with criterion("17 iso of two 1024 point members sharing invariants", 1.0):
         assert are_isomorphic(*loaded) is None
+
+
+def test_criterion_18_verify_a_256_point_table_with_every_row_distinct():
+    # STALLED^4 is a solution with 256 distinct rows, so k^2 > 4n and the
+    # cycle scan composes one row pair for each a < b
+    squared = direct_product(STALLED, STALLED)
+    table = direct_product(squared, squared)
+    assert len({tuple(row) for row in table}) == 256
+    bad = swap_corrupted(random.Random(20261024), table)
+    with criterion("18 verify of a 256 point table with every row distinct", 2.0):
+        assert verify_solution(table).ok
+        assert solution_from_table(256, table).sigma == tuple(map(tuple, table))
+        report = verify_solution(bad)
+        assert report.bijective_rows and not report.ok
+        ok, witness = check_cycle_condition(bad)
+        assert not ok
+    # each witness fails its definition at that one triple
+    assert cycle_condition_fails_at(bad, *witness)
+    assert braid_fails_at(bad, *report.first_failure)

@@ -1,3 +1,4 @@
+import enum
 import itertools
 import json
 import random
@@ -7,6 +8,7 @@ import pytest
 from helpers import (
     LEVEL3,
     STALLED,
+    direct_product,
     oracle_braid_witness,
     oracle_cycle_witness,
     oracle_is_solution,
@@ -33,7 +35,7 @@ from ybe_lab.errors import (
     NotBijectiveRow,
     NotNonDegenerate,
 )
-from ybe_lab.perm import compose, inverse, is_perm
+from ybe_lab.perm import class_ids, compose, inverse, is_perm
 
 # two valid 4-point tables used throughout: the cyclic member with twist
 # and the one with a rank-two permutation group
@@ -41,11 +43,7 @@ TWIST4 = [(1, 2, 3, 0), (3, 0, 1, 2), (1, 2, 3, 0), (3, 0, 1, 2)]
 RANK2 = [(1, 0, 3, 2), (3, 2, 1, 0), (1, 0, 3, 2), (3, 2, 1, 0)]
 # the direct product of STALLED with itself: a 16-point solution with 16
 # distinct rows, so k^2 = 256 > 4n and the cycle scan composes row pairs
-STALLED_SQUARED = [
-    [STALLED[x1][y1] * 4 + STALLED[x2][y2] for y1 in range(4) for y2 in range(4)]
-    for x1 in range(4)
-    for x2 in range(4)
-]
+STALLED_SQUARED = direct_product(STALLED, STALLED)
 
 
 def interned(table):
@@ -248,17 +246,30 @@ def test_rows_share_one_inverse_per_distinct_row():
     tables = [TWIST4, RANK2, LEVEL3, STALLED, STALLED_SQUARED, [[0]], [[0, 1]] * 2]
     tables += corrupted_members(rng, 12, 1)
     for table in tables:
-        rows, inv = _rows(table)
+        rows, inv, cid = _rows(table)
         assert [compose(row, q) for row, q in zip(rows, inv)] == [tuple(range(len(rows)))] * len(rows)
         assert len({id(q) for q in inv}) == len(set(rows))
         first = {}
         for row, q in zip(rows, inv):
             assert first.setdefault(row, q) is q
+        # the class ids _rows returns are the ones the cycle scan reads
+        assert cid == class_ids(rows)
     # a row equal to a checked one as a Python value still passes the
     # entry rule: 1.0 and True hash like 1
     for bad in ((1.0, 0), (True, 0), (1, False)):
         with pytest.raises(ValueError):
             _rows([(1, 0), bad])
+    # also as one more copy of a repeated valid row, or after a repeating row
+    for bad in ((1.0, 0, 2), (True, 0, 2)):
+        for table in ([(1, 0, 2), (1, 0, 2), bad], [(0, 0, 1), (1, 0, 2), bad]):
+            with pytest.raises(ValueError):
+                _rows(table)
+    # int subclasses are ints: IntEnum entries pass and share the classes
+    # and inverses of the equal int rows
+    points = enum.IntEnum("Points", "A B C D", start=0)
+    rows, inv, cid = _rows([[points(v) for v in row] for row in TWIST4[:2]] + TWIST4[2:])
+    assert (rows, inv, cid) == _rows(TWIST4)
+    assert inv[0] is inv[2] and cid == [0, 1, 0, 1]
 
 
 def test_t_map_values():
@@ -394,6 +405,24 @@ def test_one_pass_validation_precedence():
             solution_from_table(3, table)
         with pytest.raises(ValueError):
             verify_solution(table)
+    # an entry outside [0, n) in a row after the first repeating row, also
+    # when that row repeats a value and sits in a class of equal rows
+    for table in (
+        [[0, 1, 2, 3], [1, 1, 0, 2], [0, 1, 2, 3], [3, 2, 1, 4]],
+        [[0, 1, 2, 3], [1, 1, 0, 2], [1, 1, 0, 2], [3, 3, 1, -1]],
+        [[1, 1, 0, 2], [0, 1, 2, 3], [1, 1, 0, 2], [1, 1, 0, 4]],
+    ):
+        with pytest.raises(ValueError):
+            solution_from_table(4, table)
+        with pytest.raises(ValueError):
+            verify_solution(table)
+    table = [[0, 1, 2, 3], [2, 3, 0, 1], [1, 1, 0, 2], [1, 1, 0, 2]]
+    with pytest.raises(NotBijectiveRow) as info:
+        solution_from_table(4, table)
+    assert info.value.row == 2
+    # IntEnum entries are ints, as is_perm counts them
+    points = enum.IntEnum("Points", "A B C D", start=0)
+    assert verify_solution([[points(v) for v in row] for row in TWIST4]).ok
     table = [[0, 1, 2], [1, 1, 0], [2, 2, 2]]
     with pytest.raises(NotBijectiveRow) as info:
         solution_from_table(3, table)
@@ -447,7 +476,7 @@ def test_solution_from_table_checks_n_by_one_rule():
 
 
 def test_is_perm_agrees_with_table_validation():
-    # perm.is_perm and core._rows's fast path apply one entry rule (ints,
+    # perm.is_perm and core._rows apply one entry rule (ints,
     # never bools); a row is a permutation exactly when the table made of
     # copies of it has bijective rows, and a bad entry raises ValueError
     entries = (0, 1, 2, -1, True, False, 1.0, "0", None)

@@ -123,10 +123,16 @@ def test_core_imports_only_errors_and_perm():
 
 def test_core_checks_and_inverts_rows_in_one_pass():
     # _rows checks and inverts every row of a table, and nothing else in
-    # core inverts a row; is_perm tests only the diagonal map
+    # core inverts a row or re-checks a row's entries
     core = MODULES["core"]
     assert functions_reading(core, "inverse") == {"_rows"}
-    assert functions_reading(core, "is_perm") == {"_diagonal"}
+    assert "is_perm" not in referenced_names(core)
+
+
+def test_core_numbers_the_row_classes_once():
+    # _rows numbers the classes of equal rows and hands the ids to every
+    # kernel; no other code in core hashes the rows or inverses again
+    assert functions_reading(MODULES["core"], "class_ids") == {"_rows"}
 
 
 def test_core_decides_through_one_composition_scan():

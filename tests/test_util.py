@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from ybe_lab.classify import count_cyclic, count_family, enumerate_family, exhaustive_enumerate
+from ybe_lab.construct import build_nonabelian_example
 from ybe_lab.util import divisors, factorize, square_part
 
 
@@ -81,3 +83,19 @@ def test_square_part_matches_references():
             n *= p**e
             k *= p ** (e // 2)
         assert square_part(n) == k, n
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [(True, "an int"), (2.0, "an int"), ("3", "an int"), (0, "positive"), (-1, "positive")],
+)
+@pytest.mark.parametrize(
+    "sized",
+    [count_family, count_cyclic, enumerate_family, exhaustive_enumerate, build_nonabelian_example],
+)
+def test_sizes_follow_one_rule(sized, n, message):
+    # a number of points is an int, never a bool, and at least 1
+    # (util.check_size): True is not run as 1, and 2.0 or "3" raise
+    # ValueError, not TypeError
+    with pytest.raises(ValueError, match=f"n must be {message}"):
+        sized(n)
