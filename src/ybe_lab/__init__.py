@@ -34,7 +34,6 @@ from .core import (
     solution_from_json,
     solution_from_table,
     solution_to_json,
-    t_map,
     tau_from_sigma,
     verify_solution,
 )
@@ -49,7 +48,6 @@ from .errors import (
     NotBijectiveRow,
     NotIndecomposable,
     NotMplAtMost2,
-    NotNonDegenerate,
     NotTwoReductive,
     SizeLimitExceeded,
     StructureViolation,
@@ -60,13 +58,11 @@ from .perm import (
     PermGroup,
     compose,
     group_closure,
-    identity,
     invariant_factors,
     inverse,
     is_abelian,
     is_perm,
     order,
-    power,
 )
 from .retract import (
     RetractionResult,
@@ -91,7 +87,6 @@ __all__ = [
     "NotBijectiveRow",
     "NotIndecomposable",
     "NotMplAtMost2",
-    "NotNonDegenerate",
     "NotTwoReductive",
     "Perm",
     "PermGroup",
@@ -115,7 +110,6 @@ __all__ = [
     "exhaustive_enumerate",
     "explicit_iso_to_c",
     "group_closure",
-    "identity",
     "invariant_factors",
     "inverse",
     "inverse_isotope",
@@ -127,13 +121,11 @@ __all__ = [
     "mpl",
     "order",
     "pi_isotope",
-    "power",
     "recover_params",
     "retract",
     "solution_from_json",
     "solution_from_table",
     "solution_to_json",
-    "t_map",
     "tau_from_sigma",
     "verify_solution",
 ]

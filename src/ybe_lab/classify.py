@@ -323,9 +323,11 @@ def exhaustive_enumerate(
     once; the filters are read off them (transitivity, abelianness, level)
     and they bucket the deduplication by isomorphism. Each class is
     represented by its lexicographically smallest discovered table, which
-    is also discovery order.
+    is also discovery order. n and max_n follow the size rule
+    (util.check_size); n above max_n raises BoundExceeded.
     """
     check_size(n)
+    check_size(max_n)
     if n > max_n:
         raise BoundExceeded(f"exhaustive search bounded at {max_n} points")
     all_perms = list(itertools.permutations(range(n)))

@@ -29,7 +29,7 @@ comparisons. A member C(n1, n2, r) has lcm(n1, n2/gcd(r, n2)) classes,
 at most sqrt(n) up to 5000 points. The interned ids take up to k^2
 composites, so when k^2 > 4n it composes one row pair for each a < b
 instead, O(n^2) compositions. Rows compose as bytes.translate up to 256
-points and with operator.itemgetter above. Only a rejected table runs
+points and with perm.precompose above. Only a rejected table runs
 the scalar scan that names the first triple where the braid relation
 fails, reading tau_y(x) = sigma^{-1}_{sigma_x(y)}(x) on demand; it stops
 by (x0, y0, z0) where the composition form first fails at (x0, y0),
@@ -56,12 +56,11 @@ kernel (tau_from_sigma, _cycle, _diagonal) reads those rows, inverses and ids.
 
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 from itertools import chain
-from operator import itemgetter
 
-from .errors import AxiomViolation, NotBijectiveRow, NotNonDegenerate
-from .perm import Perm, class_ids, inverse
+from .errors import AxiomViolation, NotBijectiveRow
+from .perm import Perm, class_ids, inverse, precompose
 
 
 @dataclass(frozen=True)
@@ -69,16 +68,15 @@ class Solution:
     """Immutable solution held as its sigma table, sigma[x][y] = sigma_x(y).
 
     Outside tables go through solution_from_table, which checks the axioms;
-    tau_from_sigma derives the right action on request. The tau field
-    exists only for the benchmark's positional three-argument call
-    Solution(n, sigma, tau): the library never fills, reads or compares
-    it, so equality and hashing depend on (n, sigma) alone, and ROADMAP
-    item 1 removes it.
+    tau_from_sigma derives the right action on request. The fields are n
+    and sigma alone. tau is an init-only argument, taken and dropped, so
+    the benchmark's positional three-argument call Solution(n, sigma, tau)
+    builds the Solution that Solution(n, sigma) builds.
     """
 
     n: int
     sigma: tuple[Perm, ...]
-    tau: tuple[Perm, ...] | None = field(default=None, compare=False)
+    tau: InitVar[tuple[Perm, ...] | None] = None
 
 
 @dataclass(frozen=True)
@@ -195,12 +193,12 @@ def _composer(n):
     right(g)(left(f)) is f . g (x -> f(g(x))) as a sequence of ints, and
     two composites compare equal exactly when they are the same map. Up to
     256 points a row is bytes and composition is bytes.translate, with the
-    left factor padded to a 256-byte table; above that it is itemgetter.
+    left factor padded to a 256-byte table; above that it is precompose.
     """
     if n <= 256:
         pad = bytes(256 - n)
         return (lambda f: bytes(f) + pad), (lambda g: bytes(g).translate)
-    return tuple, (lambda g: itemgetter(*g))
+    return tuple, precompose
 
 
 def _cycle(rows, inv, cid) -> tuple[bool, tuple[int, int, int] | None]:
@@ -255,17 +253,6 @@ def _diagonal(inv) -> Perm | None:
     # T(a) = sigma^{-1}_a(a), or None when T is not a bijection
     img = tuple(inv[a][a] for a in range(len(inv)))
     return img if len(set(img)) == len(img) else None
-
-
-def t_map(s) -> Perm:
-    """Diagonal map T(a) = sigma^{-1}_a(a); raises NotNonDegenerate if not bijective.
-
-    Raises NotBijectiveRow for the first row that is not a bijection.
-    """
-    img = _diagonal(_rows(s)[1])
-    if img is None:
-        raise NotNonDegenerate("diagonal map is not a bijection")
-    return img
 
 
 def _braid_witness(rows, inv) -> tuple[int, int, int] | None:

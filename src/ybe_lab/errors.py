@@ -29,10 +29,6 @@ class AxiomViolation(YbeError):
         super().__init__(f"table is not a solution: {report}")
 
 
-class NotNonDegenerate(YbeError):
-    """The diagonal map a -> sigma_a^{-1}(a) is not a bijection."""
-
-
 class SizeLimitExceeded(YbeError):
     """A group closure or automorphism search passed its element bound."""
 

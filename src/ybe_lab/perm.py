@@ -19,7 +19,9 @@ classify's parameter recovery read element orders off it. class_ids
 numbers the classes of equal rows, the retraction's classes, for
 retract, classify and core's table check, whose ids the cycle scan reads.
 precompose turns a permutation into an itemgetter that composes many
-others with it in C, for aut's lists of automorphisms.
+others with it in C: for aut's lists of automorphisms, core's cycle scan
+above 256 points, all_commute, and is_abelian's rows read on one orbit.
+It is the one place that builds an itemgetter.
 """
 
 import math
@@ -33,10 +35,6 @@ from .util import factorize
 Perm = tuple[int, ...]
 
 DEFAULT_MAX_CLOSURE = 10**6
-
-
-def identity(n: int) -> Perm:
-    return tuple(range(n))
 
 
 def is_perm(img) -> bool:
@@ -60,8 +58,9 @@ def compose(p: Perm, q: Perm) -> Perm:
 def precompose(g: Perm):
     """The map f -> compose(f, g) for f of g's degree, built once, run in C.
 
-    operator.itemgetter does the work; on one point it would yield a bare
-    value, so degree 1 takes a tuple instead.
+    Any nonempty index tuple g works alike: f -> (f[g[0]], f[g[1]], ...).
+    operator.itemgetter does the work; on one index it would yield a bare
+    value, so a single index takes a tuple instead.
     """
     if len(g) == 1:
         return lambda f: (f[g[0]],)
@@ -73,19 +72,6 @@ def inverse(p: Perm) -> Perm:
     for i, v in enumerate(p):
         inv[v] = i
     return tuple(inv)
-
-
-def power(p: Perm, k: int) -> Perm:
-    """k-th compositional power; negative k means powers of the inverse."""
-    if k < 0:
-        p, k = inverse(p), -k
-    result = identity(len(p))
-    while k:
-        if k & 1:
-            result = compose(result, p)
-        p = compose(p, p)
-        k >>= 1
-    return result
 
 
 def order(p: Perm) -> int:
@@ -166,7 +152,7 @@ def group_closure(gens, max_size: int = DEFAULT_MAX_CLOSURE) -> PermGroup:
             raise DegreeMismatch("generators act on different carriers")
         if not is_perm(g):
             raise ValueError(f"generator {g} is not a permutation")
-    e = identity(n)
+    e = tuple(range(n))
     elements = {e}
     frontier = [e]
     while frontier:
@@ -190,8 +176,8 @@ def all_commute(perms) -> bool:
     perms = list(perms)
     if not perms or len(perms[0]) < 2:
         return True
-    # after[i](q) = q . perms[i], a tuple since the degree is at least 2
-    after = [itemgetter(*p) for p in perms]
+    # after[i](q) = q . perms[i]
+    after = [precompose(p) for p in perms]
     for i, p in enumerate(perms):
         for j in range(i + 1, len(perms)):
             if after[j](p) != after[i](perms[j]):
@@ -221,7 +207,7 @@ def is_abelian(group: PermGroup) -> bool:
         # the representatives commute iff that matrix on the orbit is symmetric
         rows = [reps[y] for y in orbit]
         if len(orbit) < group.degree:  # read the rows on the orbit alone
-            rows = list(map(itemgetter(*orbit), rows))
+            rows = list(map(precompose(orbit), rows))
         if rows != list(zip(*rows)):
             return False
     return True

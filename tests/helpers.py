@@ -292,6 +292,20 @@ def is_regular(group) -> bool:
     return sorted(g[0] for g in group.elements) == list(range(group.degree))
 
 
+def power(p, k: int):
+    """p composed with itself k times (the identity for k = 0); a negative
+    k takes the (-k)-th power of p's inverse."""
+    if k < 0:
+        inv = [0] * len(p)
+        for x, y in enumerate(p):
+            inv[y] = x
+        p, k = inv, -k
+    result = tuple(range(len(p)))
+    for _ in range(k):
+        result = tuple(p[y] for y in result)
+    return result
+
+
 def element_order(g) -> int:
     """The lcm of the lengths of all cycles of g, every point walked."""
     lengths, seen = [], set()

@@ -21,6 +21,7 @@ from helpers import (
     is_regular,
     is_transitive,
     oracle_braid_witness,
+    power,
     relabel,
     swap_corrupted,
 )
@@ -43,7 +44,6 @@ from ybe_lab.perm import (
     invariant_factors,
     is_abelian,
     order,
-    power,
 )
 from ybe_lab.retract import mpl
 

@@ -12,6 +12,7 @@ from helpers import (
     forbid_group_closure,
     is_transitive,
     oracle_is_solution,
+    power,
     relabel,
 )
 from ybe_lab.classify import (
@@ -41,7 +42,6 @@ from ybe_lab.perm import (
     compose,
     group_closure,
     order,
-    power,
 )
 from ybe_lab.retract import mpl
 from ybe_lab.util import divisors, square_part

@@ -26,15 +26,10 @@ from ybe_lab.core import (
     solution_from_json,
     solution_from_table,
     solution_to_json,
-    t_map,
     tau_from_sigma,
     verify_solution,
 )
-from ybe_lab.errors import (
-    AxiomViolation,
-    NotBijectiveRow,
-    NotNonDegenerate,
-)
+from ybe_lab.errors import AxiomViolation, NotBijectiveRow
 from ybe_lab.perm import class_ids, compose, inverse, is_perm
 
 # two valid 4-point tables used throughout: the cyclic member with twist
@@ -272,15 +267,15 @@ def test_rows_share_one_inverse_per_distinct_row():
     assert inv[0] is inv[2] and cid == [0, 1, 0, 1]
 
 
-def test_t_map_values():
-    assert t_map(TWIST4) == (3, 2, 1, 0)
-    assert t_map(RANK2) == (1, 2, 3, 0)
-    assert t_map([(0,)]) == (0,)
-
-
-def test_t_map_degenerate():
-    with pytest.raises(NotNonDegenerate):
-        t_map([(0, 1), (1, 0)])
+def test_non_degenerate_reads_the_diagonal_map():
+    # T(a) = sigma^{-1}_a(a) is the y with sigma_a(y) = a, and
+    # non_degenerate says whether T is a bijection
+    for table in (TWIST4, RANK2, [(0,)]):  # T = (3, 2, 1, 0), (1, 2, 3, 0), (0,)
+        assert verify_solution(table).non_degenerate
+    assert not verify_solution([(0, 1), (1, 0)]).non_degenerate  # T = (0, 0)
+    for table in itertools.product(itertools.permutations(range(3)), repeat=3):
+        diagonal = {row.index(a) for a, row in enumerate(table)}
+        assert verify_solution(table).non_degenerate == (len(diagonal) == 3)
 
 
 def test_verify_accepts_solutions():
@@ -330,9 +325,8 @@ def test_cycle_condition_implies_both_routes():
     assert len(tables) == 216
     cycle_sets = [t for t in tables if check_cycle_condition(t)[0]]
     for table in cycle_sets:
-        assert sorted(t_map(table)) == [0, 1, 2]
         report = verify_solution(table)
-        assert report.braid and report.involutive
+        assert report.non_degenerate and report.braid and report.involutive
     assert len(cycle_sets) == sum(oracle_is_solution([list(r) for r in t]) for t in tables)
 
 
@@ -428,7 +422,7 @@ def test_one_pass_validation_precedence():
         solution_from_table(3, table)
     assert info.value.row == 1
     assert verify_solution(table) == VerifyReport(False, False, False, False, False, None)
-    for helper in (check_cycle_condition, tau_from_sigma, t_map):
+    for helper in (check_cycle_condition, tau_from_sigma):
         with pytest.raises(NotBijectiveRow) as info:
             helper([[0, 0], [1, 0]])
         assert info.value.row == 0
@@ -439,14 +433,15 @@ def test_a_solution_is_checked_like_any_table():
     # is rejected as its raw table would be
     bad = Solution(2, ((0, 0), (0, 1)))
     assert verify_solution(bad) == VerifyReport(False, False, False, False, False, None)
-    for helper in (check_cycle_condition, tau_from_sigma, t_map):
+    for helper in (check_cycle_condition, tau_from_sigma):
         with pytest.raises(NotBijectiveRow) as info:
             helper(bad)
         assert info.value.row == 0
     with pytest.raises(ValueError):
         verify_solution(Solution(1, ((True,),)))
     good = solution_from_table(4, TWIST4)
-    assert verify_solution(good).ok and t_map(good) == t_map(TWIST4)
+    assert verify_solution(good) == verify_solution(TWIST4)
+    assert verify_solution(good).ok
 
 
 def test_tables_and_rows_that_are_not_sequences_raise_value_error():

@@ -217,6 +217,27 @@ def test_certificates_and_automorphisms_stay_in_the_input_labels():
     assert not functions_reading(MODULES["aut"], "aut_c_closed_form")
 
 
+def test_only_precompose_builds_an_itemgetter():
+    # perm.precompose is the one itemgetter builder, with its one-point
+    # guard: core's cycle scan above 256 points, all_commute and
+    # is_abelian call it, and only perm imports operator
+    for name, tree in MODULES.items():
+        users = {
+            getattr(node, "name", "<module>")
+            for node in tree.body
+            if not isinstance(node, (ast.Import, ast.ImportFrom))
+            and "itemgetter" in referenced_names(node)
+        }
+        assert users == ({"precompose"} if name == "perm" else set()), name
+        imported = [
+            alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names
+        ] + [
+            node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        ]
+        assert ("operator" in imported) == (name == "perm"), name
+
+
 def test_only_perm_defines_class_ids():
     # one class-id helper, shared by retract and core's cycle scan
     for name, tree in MODULES.items():

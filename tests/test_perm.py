@@ -11,6 +11,7 @@ from helpers import (
     is_cyclic,
     is_regular,
     is_transitive,
+    power,
 )
 from ybe_lab.errors import DegreeMismatch, NotAbelian, SizeLimitExceeded
 from ybe_lab.perm import (
@@ -18,23 +19,16 @@ from ybe_lab.perm import (
     all_commute,
     compose,
     group_closure,
-    identity,
     invariant_factors,
     inverse,
     is_abelian,
     is_perm,
     order,
-    power,
     precompose,
 )
 
 S3_GENS = [(1, 0, 2), (0, 2, 1)]
 KLEIN_GENS = [(1, 0, 3, 2), (2, 3, 0, 1)]
-
-
-def test_identity():
-    assert identity(4) == (0, 1, 2, 3)
-    assert identity(0) == ()
 
 
 def test_is_perm():
@@ -75,16 +69,17 @@ def test_compose_degree_mismatch():
 
 def test_inverse():
     p = (2, 0, 3, 1)
-    assert compose(p, inverse(p)) == identity(4)
-    assert compose(inverse(p), p) == identity(4)
+    assert compose(p, inverse(p)) == tuple(range(4))
+    assert compose(inverse(p), p) == tuple(range(4))
 
 
 def test_power():
+    # the tests' power (helpers.power) against the library's compose and inverse
     p = (1, 2, 3, 0)
-    assert power(p, 0) == identity(4)
+    assert power(p, 0) == tuple(range(4))
     assert power(p, 1) == p
     assert power(p, 2) == compose(p, p)
-    assert power(p, 4) == identity(4)
+    assert power(p, 4) == tuple(range(4))
     assert power(p, -1) == inverse(p)
     assert power(p, -3) == p
     assert power(p, 13) == p
@@ -96,14 +91,14 @@ def test_power_matches_iterated_compose():
         p = list(range(6))
         rng.shuffle(p)
         p = tuple(p)
-        q = identity(6)
+        q = tuple(range(6))
         for k in range(12):
             assert power(p, k) == q
             q = compose(p, q)
 
 
 def test_order():
-    assert order(identity(5)) == 1
+    assert order(tuple(range(5))) == 1
     assert order((1, 2, 3, 0)) == 4
     # one 2-cycle and one 3-cycle
     assert order((1, 0, 3, 4, 2)) == 6
@@ -112,15 +107,15 @@ def test_order():
 def test_order_is_least_exponent():
     for p in itertools.permutations(range(5)):
         k = order(p)
-        assert power(p, k) == identity(5)
+        assert power(p, k) == tuple(range(5))
         for m in range(1, k):
-            assert power(p, m) != identity(5)
+            assert power(p, m) != tuple(range(5))
 
 
 def test_group_closure_cyclic():
     g = group_closure([(1, 2, 3, 0)])
     assert len(g.elements) == 4
-    assert identity(4) in g.elements
+    assert tuple(range(4)) in g.elements
     assert g.elements == tuple(sorted(g.elements))
     assert is_transitive(g) and is_abelian(g) and is_regular(g) and is_cyclic(g)
     assert invariant_factors(g) == (4,)
@@ -161,8 +156,8 @@ def test_group_closure_size_limit():
 
 
 def test_trivial_group():
-    g = group_closure([identity(3)])
-    assert g.elements == (identity(3),)
+    g = group_closure([tuple(range(3))])
+    assert g.elements == (tuple(range(3)),)
     assert invariant_factors(g) == ()
     assert is_abelian(g) and is_cyclic(g)
     assert not is_transitive(g)
@@ -254,7 +249,7 @@ def test_is_abelian_agrees_with_pairwise_compose():
         "S3": (S3_GENS, False),
         "D4 on 4 points": (dihedral4, False),
         "intransitive": ([(1, 0, 2, 3), (0, 1, 3, 2)], False),
-        "trivial": ([identity(3)], False),
+        "trivial": ([tuple(range(3))], False),
         "Z2 x Z3 on disjoint cycles": ([(1, 0, 2, 3, 4, 5), (0, 1, 3, 4, 2, 5)], False),
         "Z2 beside S3": ([(1, 0, 2, 3, 4), (0, 1, 3, 2, 4), (0, 1, 2, 4, 3)], False),
         "S3 beside Z3": ([(1, 0, 2, 3, 4, 5), (0, 2, 1, 3, 4, 5), (0, 1, 2, 4, 5, 3)], False),

@@ -85,17 +85,36 @@ def test_square_part_matches_references():
         assert square_part(n) == k, n
 
 
+def exhaustive_enumerate_max_n(max_n):
+    return exhaustive_enumerate(2, max_n=max_n)
+
+
 @pytest.mark.parametrize(
     "n, message",
-    [(True, "an int"), (2.0, "an int"), ("3", "an int"), (0, "positive"), (-1, "positive")],
+    [
+        (True, "an int"),
+        (2.0, "an int"),
+        (2.5, "an int"),
+        ("3", "an int"),
+        (None, "an int"),
+        (0, "positive"),
+        (-1, "positive"),
+    ],
 )
 @pytest.mark.parametrize(
     "sized",
-    [count_family, count_cyclic, enumerate_family, exhaustive_enumerate, build_nonabelian_example],
+    [
+        count_family,
+        count_cyclic,
+        enumerate_family,
+        exhaustive_enumerate,
+        exhaustive_enumerate_max_n,
+        build_nonabelian_example,
+    ],
 )
 def test_sizes_follow_one_rule(sized, n, message):
     # a number of points is an int, never a bool, and at least 1
-    # (util.check_size): True is not run as 1, and 2.0 or "3" raise
-    # ValueError, not TypeError
+    # (util.check_size), the oracle's bound max_n included: True is not
+    # run as 1, and 2.0, 2.5, "3" or None raise ValueError, not TypeError
     with pytest.raises(ValueError, match=f"n must be {message}"):
         sized(n)
