@@ -21,6 +21,7 @@ from ybe_lab.construct import build_c, build_nonabelian_example
 from ybe_lab.core import (
     Solution,
     VerifyReport,
+    _diagonal,
     _rows,
     check_cycle_condition,
     solution_from_json,
@@ -267,12 +268,21 @@ def test_rows_share_one_inverse_per_distinct_row():
     assert inv[0] is inv[2] and cid == [0, 1, 0, 1]
 
 
-def test_non_degenerate_reads_the_diagonal_map():
-    # T(a) = sigma^{-1}_a(a) is the y with sigma_a(y) = a, and
-    # non_degenerate says whether T is a bijection
-    for table in (TWIST4, RANK2, [(0,)]):  # T = (3, 2, 1, 0), (1, 2, 3, 0), (0,)
+def test_t_map_values():
+    # T(a) = sigma^{-1}_a(a) is the y with sigma_a(y) = a
+    for table, t in ((TWIST4, (3, 2, 1, 0)), (RANK2, (1, 2, 3, 0)), ([(0,)], (0,))):
+        assert _diagonal(_rows(table)[1]) == t
         assert verify_solution(table).non_degenerate
-    assert not verify_solution([(0, 1), (1, 0)]).non_degenerate  # T = (0, 0)
+
+
+def test_t_map_degenerate():
+    # T = (0, 0) is not a bijection
+    assert _diagonal(_rows([(0, 1), (1, 0)])[1]) is None
+    assert not verify_solution([(0, 1), (1, 0)]).non_degenerate
+
+
+def test_non_degenerate_reads_the_diagonal_map():
+    # non_degenerate says whether T is a bijection
     for table in itertools.product(itertools.permutations(range(3)), repeat=3):
         diagonal = {row.index(a) for a, row in enumerate(table)}
         assert verify_solution(table).non_degenerate == (len(diagonal) == 3)
