@@ -8,7 +8,14 @@ from the structure: n2 is the common row order, n1 = n/n2, and r is the
 unique exponent with sigma_{sigma_e(e)}^{n1} = sigma_e^{(r+1)*n1}. The
 permutation group is then regular abelian (below), so recover_params
 reads the row orders and r off cycles through e = 0, after one hashing
-pass over the rows, with no power or group built.
+pass over the rows, with no power or group built. A regular abelian
+group A is also its own centralizer in the symmetric group, so recovery
+decides "transitive and abelian" from a few rows
+(perm.check_regular_abelian): commuting rows whose orbit of 0 is the
+whole carrier generate A, and any other row lies in A iff it commutes
+with them. Each such generator at least doubles the orbit, so there are
+at most log2 n of them, and each distinct row is checked against those
+alone, not against every other row.
 
 The theory is used, not re-proved. A transitive abelian permutation
 group G is regular: if g in G fixes x, then g(h(x)) = h(g(x)) = h(x)
@@ -45,6 +52,7 @@ from .errors import (
 from .perm import (
     Perm,
     all_commute,
+    check_regular_abelian,
     class_ids,
     compose,
     cycle_length,
@@ -181,9 +189,16 @@ def recover_params(s: Solution) -> CParams:
     StructureViolation if violated.
 
     No group is built, and the rows are hashed once (perm.class_ids): the
-    first row of each class stands for it. The orbits of the distinct rows
-    give transitivity, their pairwise commutation gives abelianness, since
-    they generate the group, and the same class ids give the level test.
+    first row of each class stands for it. The distinct rows generate the
+    group, and perm.check_regular_abelian decides whether it is transitive
+    and abelian: greedy generators S, each taking 0 outside the orbit of 0
+    under those before it and commuting with them, until that orbit is
+    the whole carrier, so |S| <= log2 n. They generate a regular abelian
+    group A, its own centralizer in Sym(X), so the group is A iff every
+    distinct row commutes with S: |S| * k row pairs for k distinct rows,
+    not k(k-1)/2. Otherwise the orbits of all the distinct rows choose the
+    error: NotIndecomposable if there are several, NotAbelian if not.
+    The same class ids give the level test.
     A transitive abelian group is regular, so a group element is known by
     its image of 0, and its order is the length of its cycle through 0.
     Hence sigma_{rho(0)}^{n1} = rho^{(r+1)*n1}, with rho = sigma_0, holds
@@ -195,10 +210,7 @@ def recover_params(s: Solution) -> CParams:
     """
     cid = class_ids(s.sigma)
     rows = list(dict(zip(cid, s.sigma)).values())
-    if len(orbits(s.n, rows)) != 1:
-        raise NotIndecomposable("permutation group is not transitive")
-    if not all_commute(rows):
-        raise NotAbelian("permutation group is not abelian")
+    check_regular_abelian(s.n, rows)
     if s.n >= 2 and not mpl_at_most_2_on_classes(s.sigma, cid):
         raise NotMplAtMost2("multipermutation level exceeds 2")
     row_orders = {cycle_length(row, 0) for row in rows}

@@ -5,8 +5,11 @@ PermGroup is its degree, all its elements (sorted) and its point orbits,
 so no stabilizer chains are needed, and it keeps no generators.
 group_closure computes one by breadth-first closure from generators,
 bounded by max_size (SizeLimitExceeded). No library path calls it:
-parameter recovery, the isomorphism quick-reject and the exhaustive
-oracle's filters read orbits and all_commute off the distinct rows, and
+parameter recovery decides transitivity and abelianness of the distinct
+rows with check_regular_abelian, which commutes each row with at most
+log2 n greedy generators, since a regular abelian group is its own
+centralizer; the isomorphism quick-reject and the exhaustive oracle's
+filters read orbits and all_commute off the distinct rows; and
 aut.automorphism_group builds its groups from the closed form or from
 the automorphisms the search yields, stopping past DEFAULT_MAX_CLOSURE
 of them. Closure remains public for direct calls, as the tests'
@@ -20,7 +23,8 @@ numbers the classes of equal rows, the retraction's classes, for
 retract, classify and core's table check, whose ids the cycle scan reads.
 precompose turns a permutation into an itemgetter that composes many
 others with it in C: for aut's lists of automorphisms, core's cycle scan
-above 256 points, all_commute, and is_abelian's rows read on one orbit.
+above 256 points, all_commute, check_regular_abelian, and is_abelian's
+rows read on one orbit.
 It is the one place that builds an itemgetter.
 """
 
@@ -29,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .errors import DegreeMismatch, NotAbelian, SizeLimitExceeded
+from .errors import DegreeMismatch, NotAbelian, NotIndecomposable, SizeLimitExceeded
 from .util import factorize
 
 Perm = tuple[int, ...]
@@ -183,6 +187,58 @@ def all_commute(perms) -> bool:
             if after[j](p) != after[i](perms[j]):
                 return False
     return True
+
+
+def check_regular_abelian(n: int, rows) -> None:
+    """Raise unless the rows, on {0..n-1}, generate a transitive abelian group.
+
+    Generators S are picked greedily: a row joins only when its image of 0
+    lies outside the orbit of 0 under those before it and it commutes with
+    them, until that orbit is all of X = {0..n-1}. Commuting generators of
+    a transitive group generate a regular abelian group A, and A is its
+    own centralizer in Sym(X) (Dixon-Mortimer, Permutation Groups, 1996,
+    4.2), so every row lies in A iff it commutes with every generator:
+    |S| * k row pairs for k rows, where pairwise commutation takes
+    k(k-1)/2. Commuting generators act regularly on the orbit of 0, so
+    each one at least doubles it, and |S| <= log2 n. A joining generator
+    commutes with those before it, so its images of the orbit close it
+    anew: O(n) point images in all.
+
+    If the orbit stops short of X, or a row fails to commute, the group is
+    not both transitive and abelian: in a regular group a row whose image
+    of 0 is in <S>(0) lies in <S>, so the rows skipped would add no point.
+    The orbits of all the rows then choose the error: NotIndecomposable
+    when there are several, NotAbelian otherwise.
+    """
+    seen = [False] * n
+    seen[0] = True
+    orbit = [0]
+    gens = []  # (g, after) with after(q) = q . g
+    rest = []
+    for g in rows:
+        if seen[g[0]]:
+            rest.append(g)
+            continue
+        after = precompose(g)
+        if any(a(g) != after(h) for h, a in gens):
+            break
+        gens.append((g, after))
+        # the orbit is closed under the earlier generators, which commute
+        # with g, so g alone moves it on: the loop reads the points it adds
+        for x in orbit:
+            y = g[x]
+            if not seen[y]:
+                seen[y] = True
+                orbit.append(y)
+    else:
+        if len(orbit) == n and all(
+            all(a(row) == after(h) for h, a in gens)
+            for row, after in zip(rest, map(precompose, rest))
+        ):
+            return
+    if len(orbits(n, rows)) != 1:
+        raise NotIndecomposable("permutation group is not transitive")
+    raise NotAbelian("permutation group is not abelian")
 
 
 def is_abelian(group: PermGroup) -> bool:

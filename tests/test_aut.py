@@ -288,3 +288,27 @@ def test_invariant_factors_match_the_element_order_reference():
     assert any(len(g.orbit_partition) > 2 for g in groups)
     for g in groups:
         assert invariant_factors(g) == invariant_factors_by_orders(g)
+
+
+def aut_invariant_factors_rule(n1, n2, r):
+    """Invariant factors of Aut(C(n1, n2, r)) in closed form: (d1, n/d1),
+    any 1 dropped. With m = n2/n1, d1 is 2*n1 if m = 0 mod 4 and
+    r = 2 mod 4, n1/2 if n1 is even and m odd, and n1 otherwise."""
+    m = n2 // n1
+    if m % 4 == 0 and r % 4 == 2:
+        d1 = 2 * n1
+    elif n1 % 2 == 0 and m % 2:
+        d1 = n1 // 2
+    else:
+        d1 = n1
+    return tuple(f for f in (d1, n1 * n2 // d1) if f > 1)
+
+
+def test_aut_invariant_factors_follow_the_closed_form():
+    # the rule against the group itself, for every member up to 128 points
+    members = [p for n in range(1, 129) for p in enumerate_family(n)]
+    assert len(members) == 369
+    for p in members:
+        assert invariant_factors(automorphism_group(build_c(p))) == (
+            aut_invariant_factors_rule(*p)
+        ), p

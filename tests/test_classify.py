@@ -27,7 +27,7 @@ from ybe_lab.classify import (
     recover_params,
 )
 from ybe_lab.construct import CParams, build_c, build_nonabelian_example, c_params_valid
-from ybe_lab.core import solution_from_table, verify_solution
+from ybe_lab.core import Solution, solution_from_table, verify_solution
 from ybe_lab.errors import (
     BoundExceeded,
     NotAbelian,
@@ -224,6 +224,23 @@ def test_recover_params_matches_closure_reference(monkeypatch):
     # indecomposable, cyclic permutation group, level 3
     pool.append(solution_from_table(27, CYCLIC_LEVEL3))
     pool = [shuffled_copy(s, rng)[0] for s in pool for _ in range(2)]
+    # the eligibility gate's corners, as raw tables, which shuffled_copy
+    # would reject
+    pool += [
+        # a transitive generator, then a row outside its centralizer
+        Solution(4, ((1, 2, 3, 0), (1, 0, 2, 3), (1, 2, 3, 0), (1, 2, 3, 0))),
+        # transitive, but the greedy generators stay on {0, 1}
+        Solution(4, ((1, 0, 2, 3), (0, 2, 1, 3), (1, 0, 3, 2), (1, 0, 2, 3))),
+        # intransitive and not commuting: a skipped row, then a generator
+        Solution(4, ((1, 2, 0, 3), (0, 2, 1, 3), (1, 2, 0, 3), (0, 1, 2, 3))),
+        Solution(4, ((1, 0, 2, 3), (2, 0, 1, 3), (1, 0, 2, 3), (1, 0, 2, 3))),
+        # transitive, with a second generator that fails to commute
+        Solution(4, ((1, 0, 2, 3), (2, 0, 1, 3), (3, 1, 2, 0), (1, 0, 2, 3))),
+        Solution(1, ((0,),)),
+        Solution(2, ((1, 0), (1, 0))),
+        Solution(2, ((0, 1), (0, 1))),
+        Solution(2, ((1, 0), (0, 1))),
+    ]
     expected = [_outcome(closure_reference_params, s) for s in pool]
 
     forbid_group_closure(monkeypatch)
@@ -271,6 +288,73 @@ def test_recover_params_hashes_the_rows_once(monkeypatch):
         outcome = _outcome(recover_params, s)
         assert outcome == expected or outcome[0] is expected
         assert calls == [s.n]
+
+
+def test_recover_params_checks_few_row_pairs(monkeypatch):
+    # a regular abelian group is its own centralizer, so the gate checks
+    # each distinct row against its greedy generators S alone: at most
+    # |S| * k row pairs of k rows, two compositions each, where pairwise
+    # commutation takes k(k-1)/2. Every row of C(n1, n2, r) has order n2,
+    # so the first generator's orbit is its n2-point cycle through 0, and
+    # each later one at least doubles it: |S| <= 1 + log2(n1)
+    perm = sys.modules["ybe_lab.perm"]
+    precompose = perm.precompose
+    compositions = []
+
+    def counted(g):
+        after = precompose(g)
+
+        def run(q):
+            compositions.append(q)
+            return after(q)
+
+        return run
+
+    monkeypatch.setattr(perm, "precompose", counted)
+    rng = random.Random(26)
+    for p in ((8, 64, 4), (1, 512, 32), (2, 256, 48)):
+        s = relabeled_member(p, rng)
+        k = len(set(s.sigma))
+        compositions.clear()
+        assert recover_params(s) == CParams(*p)
+        gens = p[0].bit_length()  # 1 + log2(n1), as n1 is a power of 2 here
+        assert len(compositions) <= 2 * gens * k < k * (k - 1)
+
+
+def translation_table(orders, shift):
+    """Solution(n, rows) with row x the translation by shift(x) in
+    Z_o1 x Z_o2 x ...: every row lies in one regular abelian group, and no
+    axiom is checked."""
+    points = list(itertools.product(*map(range, orders)))
+    index = {a: i for i, a in enumerate(points)}
+
+    def translation(a):
+        return tuple(
+            index[tuple((u + v) % o for u, v, o in zip(a, b, orders))] for b in points
+        )
+
+    return Solution(len(points), tuple(translation(shift(x)) for x in points))
+
+
+def test_recover_params_structure_guards():
+    # tables whose rows generate a regular abelian group and pass the
+    # level test, so that recovery reaches each guard after the gate: the
+    # rows are translations by a shift that is constant on the cosets of
+    # the subgroup its differences generate
+    cases = [
+        # shifts 1 and 4 in Z_6: orders 6 and 3
+        ((6,), lambda x: (4,) if x[0] % 3 == 2 else (1,),
+         "rows have different orders"),
+        # rows of order 3 in Z_3^3, so n1 = 9 does not divide n2 = 3
+        ((3, 3, 3), lambda x: ((1, 0, 0), (1, 1, 0), (1, 0, 1))[x[0]],
+         "row order does not split the carrier"),
+        # shifts 1 and 5 in Z_6 give r = 4, and 1 * 4 * 4 % 6 != 0
+        ((6,), lambda x: (1,) if x[0] % 2 == 0 else (5,),
+         "recovered r fails the divisibility constraint"),
+    ]
+    for orders, shift, message in cases:
+        with pytest.raises(StructureViolation, match=message):
+            recover_params(translation_table(orders, shift))
 
 
 def test_explicit_iso_certificates():

@@ -219,8 +219,9 @@ def test_certificates_and_automorphisms_stay_in_the_input_labels():
 
 def test_only_precompose_builds_an_itemgetter():
     # perm.precompose is the one itemgetter builder, with its one-point
-    # guard: core's cycle scan above 256 points, all_commute and
-    # is_abelian call it, and only perm imports operator
+    # guard: core's cycle scan above 256 points, all_commute,
+    # check_regular_abelian and is_abelian call it, and only perm imports
+    # operator
     for name, tree in MODULES.items():
         users = {
             getattr(node, "name", "<module>")
