@@ -183,57 +183,49 @@ def recover_params(s: Solution) -> CParams:
     """Parameter triple of the family member isomorphic to s.
 
     Eligibility: permutation group transitive (indecomposable), abelian,
-    and level <= 2 (trivially satisfied at n = 1); the corresponding
-    errors are NotIndecomposable, NotAbelian, NotMplAtMost2. Structural
-    facts that the theory guarantees are still checked and raise
-    StructureViolation if violated.
+    and level <= 2; the errors are NotIndecomposable, NotAbelian,
+    NotMplAtMost2. Three StructureViolation guards, rows of unequal
+    orders, n1 = n/n2 not dividing n2, and n2 not dividing n1*r*r, fire
+    only on raw Solution(n, rows) tables: an eligible solution is
+    isomorphic to a member (the paper).
 
     No group is built, and the rows are hashed once (perm.class_ids): the
-    first row of each class stands for it. The distinct rows generate the
-    group, and perm.check_regular_abelian decides whether it is transitive
-    and abelian: greedy generators S, each taking 0 outside the orbit of 0
-    under those before it and commuting with them, until that orbit is
-    the whole carrier, so |S| <= log2 n. They generate a regular abelian
-    group A, its own centralizer in Sym(X), so the group is A iff every
-    distinct row commutes with S: |S| * k row pairs for k distinct rows,
-    not k(k-1)/2. Otherwise the orbits of all the distinct rows choose the
-    error: NotIndecomposable if there are several, NotAbelian if not.
-    The same class ids give the level test.
-    A transitive abelian group is regular, so a group element is known by
-    its image of 0, and its order is the length of its cycle through 0.
-    Hence sigma_{rho(0)}^{n1} = rho^{(r+1)*n1}, with rho = sigma_0, holds
-    iff rho^{(r+1)*n1}(0) = t, the image of 0 under sigma_{rho(0)}^{n1}:
-    with i the number of rho-steps from 0 to t, r = (i/n1 - 1) mod n2/n1,
-    and no power is built. Each step is O(n^2) on an eligible input: a
-    family member has lcm(n1, n2/gcd(r, n2)) distinct rows, at most
-    sqrt(n) on every member up to 5000 points.
+    first row of each class stands for it, for perm.check_regular_abelian
+    (module docstring) and the level test, which holds at n = 1 unasked.
+    After the gate every row lies in one regular abelian group A of order
+    n, so a row is known by its image of 0, and its order is the length
+    of its cycle through 0, which divides n (Lagrange). Hence
+    sigma_{rho(0)}^{n1} = rho^{(r+1)*n1}, with rho = sigma_0, holds iff
+    rho^{(r+1)*n1}(0) = t, the image of 0 under sigma_{rho(0)}^{n1}: with
+    i the number of rho-steps from 0 to t, r = (i/n1 - 1) mod n2/n1, and
+    no power is built. A/<rho> has order n1, so the walk meets t, and t
+    and rho^i(0) name one element of order n2/n1 = n2/gcd(i, n2), so n1
+    divides i. Each step is O(n^2) on an eligible input: a family member
+    has lcm(n1, n2/gcd(r, n2)) distinct rows, at most sqrt(n) on every
+    member up to 5000 points.
     """
     cid = class_ids(s.sigma)
     rows = list(dict(zip(cid, s.sigma)).values())
     check_regular_abelian(s.n, rows)
-    if s.n >= 2 and not mpl_at_most_2_on_classes(s.sigma, cid):
+    if not mpl_at_most_2_on_classes(s.sigma, cid):
         raise NotMplAtMost2("multipermutation level exceeds 2")
     row_orders = {cycle_length(row, 0) for row in rows}
     if len(row_orders) != 1:
         raise StructureViolation("rows have different orders")
     n2 = row_orders.pop()
-    n1, rem = divmod(s.n, n2)
-    if rem or n2 % n1:
+    n1 = s.n // n2
+    if n2 % n1:
         raise StructureViolation("row order does not split the carrier")
     rho = s.sigma[0]
     lam = s.sigma[rho[0]]
     target = 0
     for _ in range(n1):
         target = lam[target]
-    # walk rho's cycle through 0 until it reaches target or comes back
+    # walk rho's cycle through 0 until it reaches target
     i, pt = 0, 0
     while pt != target:
         pt = rho[pt]
         i += 1
-        if pt == 0:
-            break
-    if pt != target or i % n1:
-        raise StructureViolation("power identity did not pin down a unique r")
     r = (i // n1 - 1) % (n2 // n1)
     if (n1 * r * r) % n2:
         raise StructureViolation("recovered r fails the divisibility constraint")
@@ -247,15 +239,19 @@ def explicit_iso_to_c(s: Solution) -> ClassifyOutcome:
     certificate is phi(a*n2 + i) = (rho^i . lam^a)(0), so phi(0) = 0. It is
     read off walks, with no member built: row a walks rho from lam^a(0),
     and lam^{a+1}(0) is sigma_{rho(0)} at the point n2 - r - 1 steps along
-    that walk. Each walk must close after n2 steps and lam^{n1}(0) must be
-    0; then phi . T_(0,1) . phi^{-1} = rho and phi . T_(1,0) . phi^{-1} = lam
-    for the member's translations T, since rho and lam commute. Member row
-    (a, i) is the translation T_(d, r*d+1) with d = i - a*r mod n2, so
-    phi conjugates it to lam^d . rho^{r*d+1}, an element of the regular
-    group (module docstring), which equals sigma_{phi(x)} iff both send 0
-    to one point: sigma_{phi(x)}(0) = phi((d mod n1, r*d+1 mod n2)). So
-    phi must be a bijection and pass that check at every x, in O(n); a
-    failure raises StructureViolation.
+    that walk. Then phi . T_(0,1) . phi^{-1} = rho and phi . T_(1,0) .
+    phi^{-1} = lam for the member's translations T, since rho and lam
+    commute. Member row (a, i) is the translation T_(d, r*d+1) with
+    d = i - a*r mod n2, so phi conjugates it to lam^d . rho^{r*d+1}, an
+    element of the regular group (module docstring), which equals
+    sigma_{phi(x)} iff both send 0 to one point: sigma_{phi(x)}(0) =
+    phi((d mod n1, r*d+1 mod n2)). That check at every x, O(n), decides,
+    and raises StructureViolation. The walks close (rho has order n2);
+    their test fails only on a triple recover_params did not give. lam^{n1}
+    fixes 0 by r's choice, so phi's image is H(0), H = <rho, lam>; the
+    check puts sigma_y in H for y in H(0), and the level test makes the
+    rows constant along D = <sigma_x . rho^{-1}>, where <rho>D is the
+    group, so H is the group and phi a bijection.
     """
     p = recover_params(s)
     n1, n2, r = p
@@ -272,8 +268,6 @@ def explicit_iso_to_c(s: Solution) -> ClassifyOutcome:
         if pt != start:
             raise StructureViolation("certificate verification failed")
         start = sigma[rho[0]][phi[a * n2 + back]]
-    if start != 0 or len(set(phi)) != s.n:
-        raise StructureViolation("certificate verification failed")
     for x, (a, i) in enumerate(itertools.product(range(n1), range(n2))):
         d = (i - a * r) % n2
         if sigma[phi[x]][0] != phi[d % n1 * n2 + (r * d + 1) % n2]:
@@ -332,8 +326,9 @@ def exhaustive_enumerate(
     test_exhaustive_enumerate_reps_are_solutions_and_distinct (every class
     up to 4 points) and test_cycle_condition_implies_both_routes (all
     bijective 3-point tables). Each completion's invariants are computed
-    once; the filters are read off them (transitivity, abelianness, level)
-    and they bucket the deduplication by isomorphism. Each class is
+    once; the filters are read off them (transitivity, level; the abelian
+    prune admits only commuting rows, so every completion is abelian) and
+    they bucket the deduplication by isomorphism. Each class is
     represented by its lexicographically smallest discovered table, which
     is also discovery order. n and max_n follow the size rule
     (util.check_size); n above max_n raises BoundExceeded.
@@ -369,11 +364,9 @@ def exhaustive_enumerate(
 
     def record(sol: Solution) -> None:
         key = _invariants(sol)
-        *_, transitive, commute, level = key
-        if (
-            (indecomposable and not transitive)
-            or (abelian and not commute)
-            or (mpl_le_2 and (level is None or level > 2))
+        *_, transitive, _, level = key
+        if (indecomposable and not transitive) or (
+            mpl_le_2 and (level is None or level > 2)
         ):
             return
         for rep, k in zip(reps, rep_keys):

@@ -37,11 +37,12 @@ class CParams(NamedTuple):
 
 
 def c_params_valid(n1: int, n2: int, r: int) -> bool:
-    """True iff all three are ints, n1 | n2, 0 <= r < n2/n1 and n2 | n1*r^2."""
+    """True iff all three are ints, n1 | n2, 0 <= r < n2/n1 and n2 | n1*r^2.
+
+    n1 >= 1 is tested; n2 >= 1 then follows from 0 <= r < n2 // n1."""
     return (
         all(map(is_int, (n1, n2, r)))
         and n1 >= 1
-        and n2 >= 1
         and n2 % n1 == 0
         and 0 <= r < n2 // n1
         and (n1 * r * r) % n2 == 0

@@ -255,11 +255,13 @@ def _diagonal(inv) -> Perm | None:
     return img if len(set(img)) == len(img) else None
 
 
-def _braid_witness(rows, inv) -> tuple[int, int, int] | None:
+def _braid_witness(rows, inv) -> tuple[int, int, int]:
     # r(x, y) = (u, tau_y(x)) with u = rows[x][y] and tau_y(x) = inv[u][x],
     # read on demand; compare the two triple composites
     # (id x r)(r x id)(id x r) and (r x id)(id x r)(r x id), rightmost
     # factor applied first. Witness is the lexicographically first failure.
+    # It runs only after _cycle failed at some (a, b), and there the first
+    # components differ at some z, so the loop always returns.
     n = len(rows)
     for x in range(n):
         for y in range(n):
@@ -278,7 +280,6 @@ def _braid_witness(rows, inv) -> tuple[int, int, int] | None:
                 rhs = (e, inv[e][a], inv[c][b])
                 if lhs != rhs:
                     return (x, y, z)
-    return None
 
 
 def _report(rows, inv, cid) -> VerifyReport:

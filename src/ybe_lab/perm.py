@@ -176,10 +176,10 @@ def group_closure(gens, max_size: int = DEFAULT_MAX_CLOSURE) -> PermGroup:
 
 
 def all_commute(perms) -> bool:
-    """True iff the permutations (all of one degree) commute pairwise."""
+    """True iff the permutations (one degree, at least 1) commute pairwise.
+
+    Degree 1 needs no case of its own: precompose handles one point."""
     perms = list(perms)
-    if not perms or len(perms[0]) < 2:
-        return True
     # after[i](q) = q . perms[i]
     after = [precompose(p) for p in perms]
     for i, p in enumerate(perms):

@@ -140,6 +140,11 @@ def test_are_isomorphic_identity_case():
     phi = are_isomorphic(s, s)
     assert phi is not None
     check_certificate(phi, s, s)
+    # every unmapped point of the trivial solution ties on candidates, and
+    # the search branches on the first of them, so its first certificate
+    # is the identity
+    trivial = solution_from_table(3, [(0, 1, 2)] * 3)
+    assert are_isomorphic(trivial, trivial) == (0, 1, 2)
 
 
 def test_nonabelian_witness_matches_family_member_at_n2():
@@ -355,6 +360,13 @@ def test_recover_params_structure_guards():
     for orders, shift, message in cases:
         with pytest.raises(StructureViolation, match=message):
             recover_params(translation_table(orders, shift))
+    # shifts 1 and 5 in Z_8 recover (1, 8, 0), but row 3 is not that
+    # member's row at phi(3): only the certificate's one-point check sees it
+    s = translation_table((8,), lambda x: (5,) if x[0] % 4 == 3 else (1,))
+    assert recover_params(s) == CParams(1, 8, 0)
+    with pytest.raises(StructureViolation, match="certificate verification failed"):
+        explicit_iso_to_c(s)
+    assert not verify_solution(s).ok
 
 
 def test_explicit_iso_certificates():
@@ -386,7 +398,7 @@ def forced_outcomes(s, triples, monkeypatch):
 def test_certificate_point_check_rejects_every_wrong_triple(monkeypatch):
     # distinct triples are never isomorphic, so for every relabeled member
     # up to 36 points each other valid triple of its size must fail the
-    # walk closures, the bijection or the one-point check
+    # walk closures or the one-point check
     rng = random.Random(20261021)
     for n in range(1, 37):
         family = enumerate_family(n)

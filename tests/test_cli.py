@@ -42,6 +42,9 @@ def test_construct_usage_error(capsys):
     assert code == 2
     code, _, _ = invoke(capsys, "construct", "1", "1")
     assert code == 2
+    code, _, err = invoke(capsys, "construct", "1", "4", "-1")
+    assert code == 2
+    assert "must be a non-negative integer" in err
 
 
 def test_verify_ok(capsys, tmp_path):

@@ -151,6 +151,8 @@ def test_group_closure_input_checks():
 def test_group_closure_size_limit():
     with pytest.raises(SizeLimitExceeded):
         group_closure(S3_GENS, max_size=3)
+    with pytest.raises(SizeLimitExceeded):
+        group_closure(S3_GENS, max_size=5)
     g = group_closure(S3_GENS, max_size=6)
     assert len(g.elements) == 6
 
@@ -274,3 +276,6 @@ def test_is_abelian_agrees_with_pairwise_compose():
         assert all_commute(gens) == brute, name
         seen.add((is_regular(g), brute))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+    # no permutations, and permutations of one point, commute
+    assert all_commute([])
+    assert all_commute([(0,), (0,)])
