@@ -7,10 +7,11 @@ parameter triple of the isomorphic family member is recovered directly
 from the structure: n2 is the common row order, n1 = n/n2, and r is the
 unique exponent with sigma_{sigma_e(e)}^{n1} = sigma_e^{(r+1)*n1}. The
 permutation group is then regular abelian (below), so recover_params
-reads the row orders and r off cycles through e = 0, after one hashing
-pass over the rows, with no power or group built. A regular abelian
-group A is also its own centralizer in the symmetric group, so recovery
-decides "transitive and abelian" from a few rows
+reads the row orders and r off cycles through e = 0, after one class-id
+pass over the rows (perm.class_ids, which hashes no row of a regular
+group), with no power or group built. A regular abelian group A is also
+its own centralizer in the symmetric group, so recovery decides
+"transitive and abelian" from a few rows
 (perm.check_regular_abelian): commuting rows whose orbit of 0 is the
 whole carrier generate A, and any other row lies in A iff it commutes
 with them. Each such generator at least doubles the orbit, so there are
@@ -189,9 +190,11 @@ def recover_params(s: Solution) -> CParams:
     only on raw Solution(n, rows) tables: an eligible solution is
     isomorphic to a member (the paper).
 
-    No group is built, and the rows are hashed once (perm.class_ids): the
-    first row of each class stands for it, for perm.check_regular_abelian
-    (module docstring) and the level test, which holds at n = 1 unasked.
+    No group is built, and one perm.class_ids pass numbers the rows: on
+    an eligible table it compares each row once and hashes none, and on
+    a loaded one, whose equal rows are one tuple, it is O(n). One row of
+    each class stands for it, for perm.check_regular_abelian (module
+    docstring) and the level test, which holds at n = 1 unasked.
     After the gate every row lies in one regular abelian group A of order
     n, so a row is known by its image of 0, and its order is the length
     of its cycle through 0, which divides n (Lagrange). Hence

@@ -50,8 +50,11 @@ the tests).
 _rows is the only validator of a table, a Solution's rows included. It
 tests shape and entry types over the whole table in C, then checks and
 inverts one row per class of equal rows (perm.class_ids), so equal rows
-share one inverse; only a rejected table is scanned entry by entry. Every
-kernel (tau_from_sigma, _cycle, _diagonal) reads those rows, inverses and ids.
+share one inverse; only a rejected table is scanned entry by entry. It
+hands out one tuple per class, so a loaded Solution's equal rows are one
+object, and a later class_ids pass over them (parameter recovery, the
+retraction) is O(n). Every kernel (tau_from_sigma, _cycle, _diagonal)
+reads those rows, inverses and ids.
 """
 
 import json
@@ -119,11 +122,12 @@ def _check_n(n, count) -> None:
 def _rows(s, n=_NO_N) -> tuple[tuple[Perm, ...], list[Perm], list[int]]:
     """The one validating pass: (rows, inv, cid) with inv[x] = sigma_x^{-1}.
 
-    cid is perm.class_ids(rows). Table and rows must be sequences (no sets,
-    dicts or generators), n (if given) must pass _check_n, and entries are
-    ints, never bools, in [0, n). The first bad shape or entry anywhere
-    raises ValueError; only then does the first repeating row raise
-    NotBijectiveRow.
+    cid is perm.class_ids(rows), and rows holds one tuple per class: rows[x]
+    is rows[y] exactly when the two rows are equal. Table and rows must be
+    sequences (no sets, dicts or generators), n (if given) must pass
+    _check_n, and entries are ints, never bools, in [0, n). The first bad
+    shape or entry anywhere raises ValueError; only then does the first
+    repeating row raise NotBijectiveRow.
     """
     if isinstance(s, Solution):
         s = s.sigma
@@ -149,7 +153,7 @@ def _rows(s, n=_NO_N) -> tuple[tuple[Perm, ...], list[Perm], list[int]]:
     exact = set(map(len, rows)) == {n} and set(map(type, chain(*rows))) == {int}
     if not exact:
         name_first_bad_entry()
-    # equal rows of ints are one map: check and invert each class once
+    # equal rows of ints are one map: check, invert and keep each class once
     cid = class_ids(rows)
     reps = list(dict(zip(cid, rows)).values())
     points = set(range(n))
@@ -160,7 +164,7 @@ def _rows(s, n=_NO_N) -> tuple[tuple[Perm, ...], list[Perm], list[int]]:
             name_first_bad_entry()
         raise NotBijectiveRow(rows.index(failing[0]))
     inverses = [inverse(row) for row in reps]
-    return rows, [inverses[c] for c in cid], cid
+    return tuple([reps[c] for c in cid]), [inverses[c] for c in cid], cid
 
 
 def tau_from_sigma(s) -> tuple[Perm, ...]:

@@ -21,6 +21,10 @@ abelian group is regular on each orbit, so invariant_factors and
 classify's parameter recovery read element orders off it. class_ids
 numbers the classes of equal rows, the retraction's classes, for
 retract, classify and core's table check, whose ids the cycle scan reads.
+It keys rows by their image of 0, which fixes an element of a regular
+group, so on the rows of one (every eligible table) it makes one compare
+pass and hashes no row, and on rows interned to one tuple per class (as
+core's table check hands them out) that pass is O(n).
 precompose turns a permutation into an itemgetter that composes many
 others with it in C: for aut's lists of automorphisms, core's cycle scan
 above 256 points, all_commute, check_regular_abelian, and is_abelian's
@@ -106,9 +110,33 @@ def cycle_length(p: Perm, x: int) -> int:
 
 
 def class_ids(rows) -> list[int]:
-    """Id of every row's class of equal rows, numbered by first occurrence."""
-    class_of: dict = {}
-    return [class_of.setdefault(row, len(class_of)) for row in rows]
+    """Id of every row's class of equal rows, numbered by first occurrence.
+
+    Rows are nonempty hashable sequences (every table has a point; core's
+    _rows rejects the empty table before this runs). A row is keyed by its
+    image of 0 and joins the class of the first row with that image when it
+    is that row or equals it: one compare per row and no hash, O(1) per row
+    on rows interned to one tuple per class. In a regular group the image
+    of 0 fixes the element, so rows of a regular group never clash. At the
+    first row that differs from the first row of its bucket, the buckets
+    seed a whole-row dict in id order, which numbers the rest: the worst
+    case is one failed compare and k hashes of representatives above one
+    hash-and-compare per row.
+    """
+    first_of: dict = {}  # row[0] -> (first row with that image, its id)
+    ids = []
+    rows = iter(rows)
+    for row in rows:
+        hit = first_of.get(row[0])
+        if hit is None:
+            hit = first_of[row[0]] = (row, len(first_of))
+        elif hit[0] is not row and hit[0] != row:
+            class_of = dict(first_of.values())
+            ids.append(class_of.setdefault(row, len(class_of)))
+            ids.extend([class_of.setdefault(row, len(class_of)) for row in rows])
+            break
+        ids.append(hit[1])
+    return ids
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Retraction, multipermutation level, and the level-2 predicates.
 
-The retraction and both predicates work on class ids: each row is hashed
-once to an int numbered by first occurrence, and ints are compared, not
-whole rows, so each is O(n^2). mpl_at_most_2_on_classes is the level-2
-test on ids a caller already has, for classify's parameter recovery.
+The retraction and both predicates work on class ids: one perm.class_ids
+pass numbers the rows by first occurrence (one compare per row, no hash,
+on rows of a regular group; O(n) on interned rows), and ints are
+compared, not whole rows, so each is O(n^2). mpl_at_most_2_on_classes is
+the level-2 test on ids a caller already has, for classify's parameter
+recovery.
 """
 
 from dataclasses import dataclass
@@ -77,7 +79,7 @@ def is_mpl_at_most_2(s: Solution) -> bool:
 def mpl_at_most_2_on_classes(sigma, cid) -> bool:
     """is_mpl_at_most_2 on rows whose class ids (perm.class_ids) are known.
 
-    For callers that hashed the rows already; n >= 2 is theirs to check.
+    For callers that numbered the rows already; n >= 2 is theirs to check.
     """
     # class ids along every row y, one row per class, must read as along row 0
     ref = [cid[v] for v in sigma[0]]

@@ -184,6 +184,20 @@ def certificate_by_conjugation(sigma, p):
     return tuple(phi)
 
 
+def class_ids_by_whole_rows(rows):
+    """Class id of every row, numbered by first occurrence, from one dict
+    keyed by whole rows."""
+    first = {}
+    return [first.setdefault(tuple(row), len(first)) for row in rows]
+
+
+class UnhashableRow(tuple):
+    """A row that fails the test running when anything hashes it."""
+
+    def __hash__(self):
+        raise AssertionError("a row was hashed")
+
+
 def swap_corrupted(rng: random.Random, table):
     """Copy of the table with two entries of one row swapped; rows stay bijective."""
     bad = [list(row) for row in table]

@@ -304,11 +304,20 @@ def aut_invariant_factors_rule(n1, n2, r):
     return tuple(f for f in (d1, n1 * n2 // d1) if f > 1)
 
 
-def test_aut_invariant_factors_follow_the_closed_form():
-    # the rule against the group itself, for every member up to 128 points
-    members = [p for n in range(1, 129) for p in enumerate_family(n)]
-    assert len(members) == 369
+def check_aut_rule_up_to(top, count):
+    """The rule against the group itself, for every member up to top points."""
+    members = [p for n in range(1, top + 1) for p in enumerate_family(n)]
+    assert len(members) == count
     for p in members:
         assert invariant_factors(automorphism_group(build_c(p))) == (
             aut_invariant_factors_rule(*p)
         ), p
+
+
+def test_aut_invariant_factors_follow_the_closed_form():
+    check_aut_rule_up_to(128, 369)
+
+
+@pytest.mark.slow
+def test_aut_invariant_factors_follow_the_closed_form_to_300_points():
+    check_aut_rule_up_to(300, 981)

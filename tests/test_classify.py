@@ -8,7 +8,9 @@ from helpers import (
     CYCLIC_LEVEL3,
     LEVEL3,
     STALLED,
+    UnhashableRow,
     certificate_by_conjugation,
+    class_ids_by_whole_rows,
     forbid_group_closure,
     is_transitive,
     oracle_is_solution,
@@ -263,7 +265,7 @@ def test_recover_params_matches_closure_reference(monkeypatch):
 
 def test_recover_params_hashes_the_rows_once(monkeypatch):
     # one class_ids pass gives the distinct rows and serves the level test:
-    # no set of the rows, and no second hashing in is_mpl_at_most_2
+    # no set of the rows, and no second pass in is_mpl_at_most_2
     calls = []
 
     def counted(rows):
@@ -271,7 +273,7 @@ def test_recover_params_hashes_the_rows_once(monkeypatch):
         return class_ids(rows)
 
     def forbidden(*args):
-        raise AssertionError("the rows were hashed again")
+        raise AssertionError("the rows were numbered again")
 
     # the package binds the name retract to the function, so modules are
     # taken from sys.modules
@@ -293,6 +295,24 @@ def test_recover_params_hashes_the_rows_once(monkeypatch):
         outcome = _outcome(recover_params, s)
         assert outcome == expected or outcome[0] is expected
         assert calls == [s.n]
+
+
+def test_recover_params_and_mpl_hash_no_row():
+    # rows of a regular group differ in their images of 0, so class_ids
+    # keys them by that image alone: wrapped so that hashing one fails,
+    # the rows of a loaded 1024-point relabeled member and of build_c
+    # output give the same ids, parameters and level
+    rng = random.Random(28)
+    cases = [
+        (relabeled_member(CParams(2, 512, 16), rng), CParams(2, 512, 16)),
+        (build_c((4, 64, 8)), CParams(4, 64, 8)),
+        (build_c((1, 9, 3)), CParams(1, 9, 3)),
+    ]
+    for s, p in cases:
+        wrapped = Solution(s.n, tuple(map(UnhashableRow, s.sigma)))
+        assert class_ids(wrapped.sigma) == class_ids_by_whole_rows(s.sigma)
+        assert recover_params(wrapped) == p
+        assert mpl(wrapped) == mpl(s) <= 2
 
 
 def test_recover_params_checks_few_row_pairs(monkeypatch):

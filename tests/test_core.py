@@ -268,6 +268,23 @@ def test_rows_share_one_inverse_per_distinct_row():
     assert inv[0] is inv[2] and cid == [0, 1, 0, 1]
 
 
+def test_loaded_rows_are_one_tuple_per_class():
+    # _rows hands out one tuple per class of equal rows, so a loaded
+    # Solution's rows are the same object exactly when they are equal
+    rng = random.Random(20261028)
+    tables = [TWIST4, RANK2, LEVEL3, STALLED, [[0]]]
+    for p in enumerate_family(16) + enumerate_family(36):
+        perm = list(range(p.n1 * p.n2))
+        rng.shuffle(perm)
+        tables.append(relabel(build_c(p).sigma, perm))
+    for table in tables:
+        n = len(table)
+        text = json.dumps({"n": n, "sigma": [list(row) for row in table]})
+        for s in (solution_from_table(n, table), solution_from_json(text)):
+            for x, y in itertools.product(range(n), repeat=2):
+                assert (s.sigma[x] is s.sigma[y]) == (list(table[x]) == list(table[y]))
+
+
 def test_t_map_values():
     # T(a) = sigma^{-1}_a(a) is the y with sigma_a(y) = a
     for table, t in ((TWIST4, (3, 2, 1, 0)), (RANK2, (1, 2, 3, 0)), ([(0,)], (0,))):

@@ -1,8 +1,9 @@
-"""Generated inputs at the boundary: CLI texts, core tables and is_perm.
+"""Generated inputs at the boundary: CLI texts, core tables, is_perm, class_ids.
 
 Every CLI text ends in exit 0, 1 or 2 with no exception escaping run;
-every core entry point returns or raises its documented errors; and
-perm.is_perm applies the entry rule that core's table validation does.
+every core entry point returns or raises its documented errors;
+perm.is_perm applies the entry rule that core's table validation does;
+and perm.class_ids numbers rows as a whole-row dict does.
 Needs hypothesis, which is not a declared dependency, so the module is
 skipped without it. Runs are derandomized and keep to 1-4 points.
 """
@@ -17,6 +18,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from helpers import class_ids_by_whole_rows  # noqa: E402
 from ybe_lab.classify import enumerate_family  # noqa: E402
 from ybe_lab.cli import run  # noqa: E402
 from ybe_lab.construct import build_c  # noqa: E402
@@ -28,7 +30,7 @@ from ybe_lab.core import (  # noqa: E402
     verify_solution,
 )
 from ybe_lab.errors import AxiomViolation, NotBijectiveRow  # noqa: E402
-from ybe_lab.perm import is_perm  # noqa: E402
+from ybe_lab.perm import class_ids, is_perm  # noqa: E402
 
 FUZZ = hypothesis.settings(
     max_examples=120, derandomize=True, deadline=None, database=None
@@ -155,3 +157,14 @@ def test_is_perm_is_the_table_rule_on_one_row(row):
     except ValueError:
         bijective = False
     assert is_perm(row) == bijective
+
+
+@FUZZ
+@hypothesis.given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.permutations(list(range(n))).map(tuple), min_size=1, max_size=16)
+    )
+)
+def test_class_ids_is_the_whole_row_numbering(rows):
+    # on n <= 4 points at most 4 images of 0 exist, so rows clash often
+    assert class_ids(rows) == class_ids_by_whole_rows(rows)

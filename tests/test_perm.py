@@ -6,6 +6,7 @@ import random
 import pytest
 
 from helpers import (
+    class_ids_by_whole_rows,
     cycle_generators,
     invariant_factors_of_cycles,
     is_cyclic,
@@ -17,6 +18,7 @@ from ybe_lab.errors import DegreeMismatch, NotAbelian, SizeLimitExceeded
 from ybe_lab.perm import (
     PermGroup,
     all_commute,
+    class_ids,
     compose,
     group_closure,
     invariant_factors,
@@ -71,6 +73,30 @@ def test_inverse():
     p = (2, 0, 3, 1)
     assert compose(p, inverse(p)) == tuple(range(4))
     assert compose(inverse(p), p) == tuple(range(4))
+
+
+def test_class_ids_match_a_whole_row_dict():
+    # rows are bucketed by their image of 0; a clash (a row unequal to the
+    # first row of its bucket) hands the rest to a whole-row dict
+    a, b, c, d = (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0)
+    cases = {
+        "no clash": [a, c, (2, 0, 1), c, a],
+        "clash at the first row": [a, b, a, b, c],
+        "clash at the last row": [a, c, a, c, b],
+        "repeated clashes": [a, b, c, d, b, a, d, c, (2, 1, 0), b],
+    }
+    for rows in cases.values():
+        # equal rows as distinct objects too, not only one tuple per class
+        for table in (rows, [tuple(list(row)) for row in rows]):
+            assert class_ids(table) == class_ids_by_whole_rows(table)
+    assert class_ids(cases["repeated clashes"]) == [0, 1, 2, 3, 1, 0, 3, 2, 4, 1]
+    # random tables on few points, so that most rows share images of 0
+    rng = random.Random(20261028)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        pool = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 6))]
+        rows = [tuple(rng.choice(pool)) for _ in range(rng.randint(1, 12))]
+        assert class_ids(rows) == class_ids_by_whole_rows(rows)
 
 
 def test_power():
