@@ -279,10 +279,10 @@ def explicit_iso_to_c(s: Solution) -> ClassifyOutcome:
 
 
 def count_family(n: int) -> int:
-    """Number of family members on n points: sum of k/d over d | k."""
+    """Number of family members on n points: sum of k/d over d | k, that is
+    the sum of the divisors of k = square_part(n)."""
     check_size(n)
-    k = square_part(n)
-    return sum(k // d for d in divisors(k))
+    return sum(divisors(square_part(n)))
 
 
 def count_cyclic(n: int) -> int:

@@ -25,7 +25,7 @@ from .errors import (
     NotMplAtMost2,
     NotTwoReductive,
 )
-from .perm import compose, inverse, is_perm
+from .perm import inverse, is_perm, precompose
 from .retract import is_2_reductive, is_mpl_at_most_2
 from .util import check_size, is_int
 
@@ -89,6 +89,9 @@ def pi_isotope(s: Solution, pi) -> Solution:
     Requires is_2_reductive(s) and the compatibility condition
     sigma_{pi(y)} pi sigma_x = sigma_{pi(x)} pi sigma_y for all x, y;
     the first failing pair (lexicographic) is raised as ConditionFailed.
+    The condition at (y, x) is the one at (x, y) with its sides swapped,
+    and it holds at x = y, so the first failing pair has x < y and only
+    those pairs are tested. pi is composed after each row once.
     The result has multipermutation level at most 2.
     """
     pi = tuple(pi)
@@ -96,13 +99,14 @@ def pi_isotope(s: Solution, pi) -> Solution:
         raise ValueError("pi must be a permutation of the carrier")
     if not is_2_reductive(s):
         raise NotTwoReductive("base solution must be 2-reductive")
+    sigma = s.sigma
+    # after[x](f) = f . pi . sigma_x
+    after = [precompose(precompose(row)(pi)) for row in sigma]
     for x in range(s.n):
-        for y in range(s.n):
-            lhs = compose(s.sigma[pi[y]], compose(pi, s.sigma[x]))
-            rhs = compose(s.sigma[pi[x]], compose(pi, s.sigma[y]))
-            if lhs != rhs:
+        for y in range(x + 1, s.n):
+            if after[x](sigma[pi[y]]) != after[y](sigma[pi[x]]):
                 raise ConditionFailed(x, y)
-    rows = tuple(compose(s.sigma[x], pi) for x in range(s.n))
+    rows = tuple(map(precompose(pi), sigma))
     return Solution(len(rows), rows)
 
 
@@ -116,8 +120,7 @@ def inverse_isotope(s: Solution, e: int) -> Solution:
         raise ValueError(f"base point {e!r} outside carrier")
     if not is_mpl_at_most_2(s):
         raise NotMplAtMost2("solution has level greater than 2")
-    inv_e = inverse(s.sigma[e])
-    rows = tuple(compose(row, inv_e) for row in s.sigma)
+    rows = tuple(map(precompose(inverse(s.sigma[e])), s.sigma))
     return Solution(len(rows), rows)
 
 
@@ -128,15 +131,12 @@ def build_nonabelian_example(n: int) -> Solution:
     sigma_{(a,i)}((b,j)) = (i - b mod n, 1 - j): the pi-isotope of the
     2-reductive mesh (b, j) -> (b + i, j) by pi((a,i)) = (-a, 1-i). The
     permutation group has order 2n and is non-abelian for n >= 3.
+    sigma_{(a,i)} depends on i alone, through i mod n, so the rows are
+    one tuple per value, shared as build_c shares one per row class.
     """
     check_size(n)
-    rows = []
-    for a in range(n):
-        for i in range(2):
-            row = []
-            for b in range(n):
-                bb = (i - b) % n
-                for j in range(2):
-                    row.append(2 * bb + (1 - j))
-            rows.append(tuple(row))
-    return Solution(len(rows), tuple(rows))
+    rows = [
+        tuple(2 * ((i - b) % n) + 1 - j for b in range(n) for j in range(2))
+        for i in range(min(n, 2))
+    ]
+    return Solution(2 * n, (rows[0], rows[1 % n]) * n)

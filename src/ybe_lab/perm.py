@@ -25,11 +25,12 @@ It keys rows by their image of 0, which fixes an element of a regular
 group, so on the rows of one (every eligible table) it makes one compare
 pass and hashes no row, and on rows interned to one tuple per class (as
 core's table check hands them out) that pass is O(n).
-precompose turns a permutation into an itemgetter that composes many
-others with it in C: for aut's lists of automorphisms, core's cycle scan
-above 256 points, all_commute, check_regular_abelian, and is_abelian's
-rows read on one orbit.
-It is the one place that builds an itemgetter.
+precompose turns a permutation g into an itemgetter that composes
+others with it in C, f -> f . g: build it once where one permutation is
+composed with many, or where many compositions run in a loop. It is the
+one place that builds an itemgetter. compose stays the plain Python form
+with a degree check. is_perm takes its entries by util.is_int, the
+package's one int rule.
 """
 
 import math
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import DegreeMismatch, NotAbelian, NotIndecomposable, SizeLimitExceeded
-from .util import factorize
+from .util import factorize, is_int
 
 Perm = tuple[int, ...]
 
@@ -46,14 +47,8 @@ DEFAULT_MAX_CLOSURE = 10**6
 
 
 def is_perm(img) -> bool:
-    """True iff img permutes {0..n-1}: int entries, never bools (core._rows's rule)."""
-    n = len(img)
-    seen = [False] * n
-    for v in img:
-        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n or seen[v]:
-            return False
-        seen[v] = True
-    return True
+    """True iff img permutes {0..n-1} with entries that pass util.is_int."""
+    return all(map(is_int, img)) and sorted(img) == list(range(len(img)))
 
 
 def compose(p: Perm, q: Perm) -> Perm:

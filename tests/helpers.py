@@ -184,6 +184,29 @@ def certificate_by_conjugation(sigma, p):
     return tuple(phi)
 
 
+def pi_isotope_by_ordered_pairs(sigma, pi):
+    """The rows sigma_x . pi, or the first ordered pair (x, y), in
+    lexicographic order, where sigma_{pi(y)} pi sigma_x and
+    sigma_{pi(x)} pi sigma_y differ. Every ordered pair is tested with
+    fresh perm.compose calls: the condition is not assumed symmetric."""
+    n = len(sigma)
+    for x in range(n):
+        for y in range(n):
+            lhs = perm.compose(sigma[pi[y]], perm.compose(pi, sigma[x]))
+            rhs = perm.compose(sigma[pi[x]], perm.compose(pi, sigma[y]))
+            if lhs != rhs:
+                return (x, y)
+    return tuple(perm.compose(row, pi) for row in sigma)
+
+
+def rows_shared_iff_equal(sigma) -> bool:
+    """True iff sigma[x] is sigma[y] exactly when the rows are equal."""
+    return all(
+        (sigma[x] is sigma[y]) == (list(sigma[x]) == list(sigma[y]))
+        for x, y in itertools.product(range(len(sigma)), repeat=2)
+    )
+
+
 def class_ids_by_whole_rows(rows):
     """Class id of every row, numbered by first occurrence, from one dict
     keyed by whole rows."""

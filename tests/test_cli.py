@@ -10,6 +10,7 @@ from ybe_lab.classify import DEFAULT_ORACLE_BOUND
 from ybe_lab.cli import _build_parser, main, run
 from ybe_lab.construct import build_c, build_nonabelian_example
 from ybe_lab.core import solution_from_table, solution_to_json
+from ybe_lab.util import square_part
 
 
 def invoke(capsys, *argv):
@@ -241,6 +242,23 @@ def test_count_of_large_n_in_bounded_time(capsys):
         assert elapsed < 2, f"count {n} took {elapsed:.2f}s"
 
 
+def test_count_runs_the_square_part_once(capsys, monkeypatch):
+    # the family count is read off the k that count already holds
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return square_part(n)
+
+    monkeypatch.setattr("ybe_lab.classify.square_part", counted)
+    for extra, count in (((), 999999938), (("--cyclic",), 999999937)):
+        calls.clear()
+        code, out, _ = invoke(capsys, "count", str(999999937**2 * 3), *extra)
+        assert code == 0
+        assert json.loads(out)["count"] == count
+        assert len(calls) == 1
+
+
 def test_count_cyclic(capsys):
     code, out, _ = invoke(capsys, "count", "16", "--cyclic")
     assert code == 0
@@ -339,7 +357,7 @@ def test_interrupt_exits_130_without_a_traceback(capsys, monkeypatch):
     def interrupted(n):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr("ybe_lab.cli.count_family", interrupted)
+    monkeypatch.setattr("ybe_lab.cli.count_cyclic", interrupted)
     with pytest.raises(KeyboardInterrupt):
         run(["count", "4"])
     monkeypatch.setattr("sys.argv", ["ybe-lab", "count", "4"])

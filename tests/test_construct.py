@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,10 +11,12 @@ from helpers import (
     is_regular,
     is_transitive,
     oracle_is_solution,
+    pi_isotope_by_ordered_pairs,
     random_solution_tables,
+    rows_shared_iff_equal,
 )
 from ybe_lab.aut import aut_c_closed_form
-from ybe_lab.classify import enumerate_family
+from ybe_lab.classify import enumerate_family, exhaustive_enumerate
 from ybe_lab.construct import (
     CParams,
     build_c,
@@ -222,6 +225,27 @@ def test_pi_isotope_condition_failure():
     assert (info.value.x, info.value.y) == (0, 1)
 
 
+def test_pi_isotope_matches_the_ordered_pair_reference():
+    # every class up to 4 points under every pi: the rows, or the first
+    # failing pair, agree with a test of all ordered pairs
+    outcomes = Counter()
+    for n in range(1, 5):
+        for base in exhaustive_enumerate(n):
+            for pi in itertools.permutations(range(n)):
+                try:
+                    got = pi_isotope(base, pi).sigma
+                    outcomes["rows"] += 1
+                except NotTwoReductive:
+                    assert not is_2_reductive(base)
+                    outcomes["NotTwoReductive"] += 1
+                    continue
+                except ConditionFailed as failed:
+                    got = (failed.x, failed.y)
+                    outcomes["ConditionFailed"] += 1
+                assert got == pi_isotope_by_ordered_pairs(base.sigma, pi)
+    assert outcomes == {"rows": 200, "ConditionFailed": 243, "NotTwoReductive": 144}
+
+
 def test_inverse_isotope_is_2_reductive():
     s = build_c((1, 4, 2))
     red = inverse_isotope(s, 0)
@@ -293,6 +317,27 @@ def test_nonabelian_example_small_cases():
     assert is_abelian(g2)
     with pytest.raises(ValueError):
         build_nonabelian_example(0)
+
+
+def test_nonabelian_example_rows_match_closed_form():
+    # sigma_{(a,i)}((b,j)) = (i - b mod n, 1 - j), with (a, i) -> 2a + i;
+    # the rows depend on i alone, so there are two row objects (one at
+    # n = 1, where the two rows are equal)
+    for n in range(1, 41):
+        sigma = build_nonabelian_example(n).sigma
+        assert sigma == tuple(
+            tuple(2 * ((i - b) % n) + 1 - j for b in range(n) for j in range(2))
+            for a in range(n)
+            for i in range(2)
+        )
+        assert len({id(row) for row in sigma}) == min(n, 2)
+        assert rows_shared_iff_equal(sigma)
+
+
+def test_build_c_rows_are_one_tuple_per_class():
+    for n in range(1, 37):
+        for p in enumerate_family(n):
+            assert rows_shared_iff_equal(build_c(p).sigma)
 
 
 def test_nonabelian_example_structure():

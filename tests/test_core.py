@@ -14,6 +14,7 @@ from helpers import (
     oracle_is_solution,
     random_bijective_table,
     relabel,
+    rows_shared_iff_equal,
     swap_corrupted,
 )
 from ybe_lab.classify import enumerate_family
@@ -281,8 +282,7 @@ def test_loaded_rows_are_one_tuple_per_class():
         n = len(table)
         text = json.dumps({"n": n, "sigma": [list(row) for row in table]})
         for s in (solution_from_table(n, table), solution_from_json(text)):
-            for x, y in itertools.product(range(n), repeat=2):
-                assert (s.sigma[x] is s.sigma[y]) == (list(table[x]) == list(table[y]))
+            assert rows_shared_iff_equal(s.sigma)
 
 
 def test_t_map_values():
