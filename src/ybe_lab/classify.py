@@ -278,11 +278,15 @@ def explicit_iso_to_c(s: Solution) -> ClassifyOutcome:
     return ClassifyOutcome(p, tuple(phi))
 
 
+def family_count(k: int) -> int:
+    """Family members on n points with k = square_part(n): sum of d | k."""
+    return sum(divisors(k))
+
+
 def count_family(n: int) -> int:
-    """Number of family members on n points: sum of k/d over d | k, that is
-    the sum of the divisors of k = square_part(n)."""
+    """Number of family members on n points."""
     check_size(n)
-    return sum(divisors(square_part(n)))
+    return family_count(square_part(n))
 
 
 def count_cyclic(n: int) -> int:

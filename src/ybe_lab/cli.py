@@ -22,6 +22,7 @@ from .classify import (
     enumerate_family,
     exhaustive_enumerate,
     explicit_iso_to_c,
+    family_count,
 )
 from .construct import build_c, build_nonabelian_example
 from .core import (
@@ -33,7 +34,6 @@ from .core import (
 )
 from .errors import NotAbelian, YbeError
 from .perm import invariant_factors
-from .util import divisors
 
 FILTER_NAMES = {"indecomposable", "abelian", "mpl2"}
 
@@ -120,7 +120,7 @@ def cmd_aut(args) -> int:
 
 def cmd_count(args) -> int:
     k = count_cyclic(args.n)
-    count = k if args.cyclic else sum(divisors(k))  # count_family's formula
+    count = k if args.cyclic else family_count(k)
     _print_json({"n": args.n, "k": k, "count": count})
     return 0
 

@@ -199,10 +199,13 @@ def pi_isotope_by_ordered_pairs(sigma, pi):
     return tuple(perm.compose(row, pi) for row in sigma)
 
 
-def rows_shared_iff_equal(sigma) -> bool:
-    """True iff sigma[x] is sigma[y] exactly when the rows are equal."""
+def rows_shared_iff_equal(sigma, table=None) -> bool:
+    """True iff sigma[x] is sigma[y] exactly when rows x and y of table
+    (by default sigma itself) are equal."""
+    if table is None:
+        table = sigma
     return all(
-        (sigma[x] is sigma[y]) == (list(sigma[x]) == list(sigma[y]))
+        (sigma[x] is sigma[y]) == (list(table[x]) == list(table[y]))
         for x, y in itertools.product(range(len(sigma)), repeat=2)
     )
 

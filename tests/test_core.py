@@ -282,7 +282,8 @@ def test_loaded_rows_are_one_tuple_per_class():
         n = len(table)
         text = json.dumps({"n": n, "sigma": [list(row) for row in table]})
         for s in (solution_from_table(n, table), solution_from_json(text)):
-            assert rows_shared_iff_equal(s.sigma)
+            assert s.sigma == tuple(map(tuple, table))
+            assert rows_shared_iff_equal(s.sigma, table)
 
 
 def test_t_map_values():
