@@ -8,7 +8,12 @@ plus brute-force oracles that cross-check all of it from first
 principles.
 """
 
-from .aut import aut_c_closed_form, automorphism_group, is_aut_cyclic_c1nr
+from .aut import (
+    aut_c_closed_form,
+    aut_c_invariant_factors,
+    automorphism_group,
+    is_aut_cyclic_c1nr,
+)
 from .classify import (
     ClassifyOutcome,
     are_isomorphic,
@@ -98,6 +103,7 @@ __all__ = [
     "YbeError",
     "are_isomorphic",
     "aut_c_closed_form",
+    "aut_c_invariant_factors",
     "automorphism_group",
     "build_c",
     "build_nonabelian_example",

@@ -1,4 +1,5 @@
-"""Automorphism groups, the family closed form, and the cyclicity test."""
+"""Automorphism groups, the family closed form and its invariant factors, and
+the cyclicity test."""
 
 from itertools import islice
 
@@ -42,7 +43,9 @@ def automorphism_group(s: Solution) -> PermGroup:
     test_automorphism_group_falls_back_to_search check both paths
     against the closure of the search's list, and
     test_automorphism_group_conjugates_the_closed_form checks the
-    elements against aut_c_closed_form.
+    elements against aut_c_closed_form. The CLI's aut builds this group
+    only for --elements and for ineligible input: otherwise it reads the
+    order and invariant factors off the triple (aut_c_invariant_factors).
     """
     try:
         p, phi = explicit_iso_to_c(s)
@@ -99,9 +102,32 @@ def aut_c_closed_form(p, s: int, t: int) -> Perm:
     return tuple(img)
 
 
+def aut_c_invariant_factors(p) -> tuple[int, ...]:
+    """Invariant factors of Aut(C(n1, n2, r)), in closed form.
+
+    They are (d1, n/d1), any 1 dropped, with m = n2/n1 and d1 = 2*n1 if
+    m = 0 mod 4 and r = 2 mod 4, d1 = n1/2 if n1 is even and m odd, and
+    d1 = n1 otherwise. Aut is regular abelian of order n (the paper), so
+    with these it is known from the triple alone. The rule is not derived
+    here: test_aut_invariant_factors_follow_the_closed_form checks it
+    against invariant_factors(automorphism_group(build_c(p))) on every
+    member up to 128 points, and up to 300 under -m slow. Raises
+    InvalidParams for an invalid triple.
+    """
+    n1, n2, r = p
+    if not c_params_valid(n1, n2, r):
+        raise InvalidParams(f"invalid triple ({n1}, {n2}, {r})")
+    m = n2 // n1
+    if m % 4 == 0 and r % 4 == 2:
+        d1 = 2 * n1
+    elif n1 % 2 == 0 and m % 2:
+        d1 = n1 // 2
+    else:
+        d1 = n1
+    return tuple(f for f in (d1, n1 * n2 // d1) if f > 1)
+
+
 def is_aut_cyclic_c1nr(n: int, r: int) -> bool:
     """Whether Aut(C(1, n, r)) is cyclic: it is not exactly when
-    n = 0 mod 4 and r = 2 mod 4."""
-    if not c_params_valid(1, n, r):
-        raise InvalidParams(f"invalid cyclic-family pair ({n}, {r})")
-    return not (n % 4 == 0 and r % 4 == 2)
+    n = 0 mod 4 and r = 2 mod 4 (aut_c_invariant_factors)."""
+    return len(aut_c_invariant_factors((1, n, r))) <= 1

@@ -155,14 +155,25 @@ def iso_search(sig1, sig2) -> Iterator[Perm]:
     yield from branch([-1] * n, set(), [], 0, anchors)
 
 
+def iso_from_outcomes(o1: ClassifyOutcome, o2: ClassifyOutcome) -> Perm | None:
+    """The isomorphism of two eligible solutions from their outcomes, or None.
+
+    With c1 and c2 the certificates of explicit_iso_to_c, it is c2 . c1^{-1}
+    when the triples are equal; distinct triples are never isomorphic.
+    """
+    (p1, c1), (p2, c2) = o1, o2
+    return compose(c2, inverse(c1)) if p1 == p2 else None
+
+
 def are_isomorphic(s1: Solution, s2: Solution) -> Perm | None:
     """Certificate phi with phi . sigma_x = sigma'_{phi(x)} . phi, or None.
 
-    Eligible inputs are decided by their parameter triples: distinct
-    triples are never isomorphic, and for equal ones, with c1 and c2 the
-    certificates of explicit_iso_to_c, the answer is c2 . c1^{-1}. Both
-    certificates send the member's point 0 to 0, and Aut is regular, so
-    this is the one isomorphism fixing 0: the search's first certificate.
+    Eligible inputs are decided by their parameter triples
+    (iso_from_outcomes): distinct triples are never isomorphic, and for
+    equal ones, with c1 and c2 the certificates of explicit_iso_to_c, the
+    answer is c2 . c1^{-1}. Both certificates send the member's point 0 to
+    0, and Aut is regular, so this is the one isomorphism fixing 0: the
+    search's first certificate.
     If either input is ineligible, the quick-reject invariants (carrier
     size, row-order multiset, the number of distinct rows, transitivity
     and abelianness of the permutation group, multipermutation level) run
@@ -172,12 +183,12 @@ def are_isomorphic(s1: Solution, s2: Solution) -> Perm | None:
     if s1.n != s2.n:
         return None
     try:
-        (p1, c1), (p2, c2) = explicit_iso_to_c(s1), explicit_iso_to_c(s2)
+        o1, o2 = explicit_iso_to_c(s1), explicit_iso_to_c(s2)
     except (NotIndecomposable, NotAbelian, NotMplAtMost2):
         if _invariants(s1) != _invariants(s2):
             return None
         return next(iso_search(s1.sigma, s2.sigma), None)
-    return compose(c2, inverse(c1)) if p1 == p2 else None
+    return iso_from_outcomes(o1, o2)
 
 
 def recover_params(s: Solution) -> CParams:
@@ -255,6 +266,12 @@ def explicit_iso_to_c(s: Solution) -> ClassifyOutcome:
     check puts sigma_y in H for y in H(0), and the level test makes the
     rows constant along D = <sigma_x . rho^{-1}>, where <rho>D is the
     group, so H is the group and phi a bijection.
+
+    None of this reads an axiom: on any table of bijective rows that passes
+    the gate and the check, phi is a bijection that conjugates each member
+    row to sigma_{phi(x)}, so the table is the member relabeled by phi, and
+    a solution. The CLI accepts its files on that alone (core module
+    docstring).
     """
     p = recover_params(s)
     n1, n2, r = p

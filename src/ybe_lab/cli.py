@@ -6,6 +6,14 @@ example. Results go to stdout as JSON, human summaries to stderr with
 (axiom failure, ineligible, not isomorphic, invalid or out-of-bound
 parameters), 2 usage or input errors, 130 interrupted (Ctrl-C) in the
 ybe-lab entry point main; run lets KeyboardInterrupt through.
+
+classify, iso and aut compute one certificate per file, at load
+(_certify): when it passes, the file is a relabeled family member and so
+a solution, with no axiom scan, and the command reuses its outcome. iso
+of two eligible files compares their triples, and aut reads the order
+and invariant factors off the triple, building the group only for
+--elements. Any other file is checked by solution_from_table and handled
+as before: the same exit code, stdout and exception type.
 """
 
 import argparse
@@ -14,25 +22,34 @@ import functools
 import json
 import sys
 
-from .aut import automorphism_group
+from .aut import aut_c_invariant_factors, automorphism_group
 from .classify import (
     DEFAULT_ORACLE_BOUND,
+    ClassifyOutcome,
     are_isomorphic,
     count_cyclic,
     enumerate_family,
     exhaustive_enumerate,
     explicit_iso_to_c,
     family_count,
+    iso_from_outcomes,
 )
 from .construct import build_c, build_nonabelian_example
 from .core import (
     Solution,
-    solution_from_json,
+    rows_from_table,
+    solution_from_table,
     solution_to_json,
     table_from_json,
     verify_solution,
 )
-from .errors import NotAbelian, YbeError
+from .errors import (
+    NotAbelian,
+    NotIndecomposable,
+    NotMplAtMost2,
+    StructureViolation,
+    YbeError,
+)
 from .perm import invariant_factors
 
 FILTER_NAMES = {"indecomposable", "abelian", "mpl2"}
@@ -49,8 +66,26 @@ def _read_source(path: str) -> str:
         return fh.read()
 
 
-def _load_solution(path: str) -> Solution:
-    return solution_from_json(_read_source(path))
+def _certify(n, sigma) -> tuple[Solution, ClassifyOutcome | None]:
+    """The Solution of a table from outside, and its outcome when eligible.
+
+    The certificate decides the axioms: rows_from_table checks the rows,
+    and a passing explicit_iso_to_c proves the table a relabeled family
+    member, hence a solution (core module docstring). Only a table it
+    refuses runs solution_from_table's axiom check, which raises on a
+    non-solution as it always has; on a solution the outcome is None, and
+    the command raises or searches on its own.
+    """
+    sol = Solution(n, rows_from_table(n, sigma))
+    try:
+        return sol, explicit_iso_to_c(sol)
+    except (NotIndecomposable, NotAbelian, NotMplAtMost2, StructureViolation):
+        pass
+    return solution_from_table(n, sol.sigma), None
+
+
+def _load_certified(path: str) -> tuple[Solution, ClassifyOutcome | None]:
+    return _certify(*table_from_json(_read_source(path)))
 
 
 def _note(args, msg: str) -> None:
@@ -74,8 +109,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    sol = _load_solution(args.file)
-    outcome = explicit_iso_to_c(sol)
+    sol, outcome = _load_certified(args.file)
+    if outcome is None:
+        outcome = explicit_iso_to_c(sol)  # raises, as on any ineligible input
     p = outcome.params
     _print_json({"n1": p.n1, "n2": p.n2, "r": p.r, "phi": list(outcome.phi)})
     _note(args, f"isomorphic to family member ({p.n1},{p.n2},{p.r})")
@@ -83,9 +119,12 @@ def cmd_classify(args) -> int:
 
 
 def cmd_iso(args) -> int:
-    s1 = _load_solution(args.file1)
-    s2 = _load_solution(args.file2)
-    phi = are_isomorphic(s1, s2)
+    s1, o1 = _load_certified(args.file1)
+    s2, o2 = _load_certified(args.file2)
+    if o1 is None or o2 is None:
+        phi = are_isomorphic(s1, s2)
+    else:
+        phi = iso_from_outcomes(o1, o2)
     if phi is None:
         _print_json({"isomorphic": False})
         _note(args, "not isomorphic")
@@ -96,25 +135,31 @@ def cmd_iso(args) -> int:
 
 
 def cmd_aut(args) -> int:
-    sol = _load_solution(args.file)
-    g = automorphism_group(sol)
-    try:
-        # invariant_factors runs the abelianness test itself and reads each
-        # element's order off one cycle per orbit, so both are O(n^2) on the
-        # regular groups of eligible input; cyclic means at most one factor
-        factors = list(invariant_factors(g))
-    except NotAbelian:
-        factors = None
+    sol, outcome = _load_certified(args.file)
+    if outcome is not None and not args.elements:
+        # Aut of an eligible solution is regular abelian (the paper): its
+        # order is n, and its invariant factors are the triple's
+        order, factors = sol.n, list(aut_c_invariant_factors(outcome.params))
+    else:
+        g = automorphism_group(sol)
+        order = len(g.elements)
+        try:
+            # invariant_factors runs the abelianness test itself and reads
+            # each element's order off one cycle per orbit
+            factors = list(invariant_factors(g))
+        except NotAbelian:
+            factors = None
     out = {
-        "order": len(g.elements),
+        "order": order,
         "abelian": factors is not None,
         "invariant_factors": factors,
+        # cyclic means at most one invariant factor
         "cyclic": factors is not None and len(factors) <= 1,
     }
     if args.elements:
         out["elements"] = [list(p) for p in g.elements]
     _print_json(out)
-    _note(args, f"automorphism group of order {len(g.elements)}")
+    _note(args, f"automorphism group of order {order}")
     return 0
 
 

@@ -39,9 +39,20 @@ test_braid_route_matches_scalar_reference (all 4-point tables under
 -m slow) against the scalar references in tests/helpers.py.
 
 solution_from_table checks the axioms on tables from outside the library
-(CLI files, direct calls) through the same report as verify_solution;
-test_solution_from_table_agrees_with_verify checks that both decide
-alike. Tables the library builds are solutions by a theorem and become
+(direct calls, and CLI verify's files) through the same report as
+verify_solution; test_solution_from_table_agrees_with_verify checks
+that both decide alike. The CLI's classify, iso and aut take a second
+route, with no cycle scan: rows_from_table checks the rows, and
+classify.explicit_iso_to_c certifies them. A passing certificate is a
+bijection phi with sigma_{phi(x)} = phi . m_x . phi^{-1} for every row
+m_x of the member C(n1, n2, r); the explicit_iso_to_c docstring argues
+this from the gate's checks alone, on any table with bijective rows. So
+the table is a relabeled member, and every member is a solution (the
+paper, arXiv:2011.00229). Only a table that the certificate refuses
+goes on to solution_from_table, which rejects a non-solution as before.
+tests/test_cli.py checks that both routes decide alike on every
+bijective 3-point table (4-point under -m slow) and on corrupted
+members. Tables the library builds are solutions by a theorem and become
 Solution(n, rows) directly, with nothing checked;
 tests/test_construct.py, test_retract.py and test_classify.py verify
 them (the docstrings of build_c, retract and exhaustive_enumerate name
@@ -64,13 +75,15 @@ from itertools import chain
 
 from .errors import AxiomViolation, NotBijectiveRow
 from .perm import Perm, class_ids, inverse, precompose
+from .util import is_int
 
 
 @dataclass(frozen=True)
 class Solution:
     """Immutable solution held as its sigma table, sigma[x][y] = sigma_x(y).
 
-    Outside tables go through solution_from_table, which checks the axioms;
+    Outside tables go through solution_from_table, which checks the axioms,
+    or through rows_from_table and a certificate (module docstring);
     tau_from_sigma derives the right action on request. The fields are n
     and sigma alone. tau is an init-only argument, taken and dropped, so
     the benchmark's positional three-argument call Solution(n, sigma, tau)
@@ -114,8 +127,8 @@ _NO_N = object()  # _rows takes n from the table itself
 
 
 def _check_n(n, count) -> None:
-    """The one rule for n: an int, not a bool, equal to the number of rows."""
-    if isinstance(n, bool) or not isinstance(n, int) or n != count:
+    """The one rule for n: an int (util.is_int) equal to the number of rows."""
+    if not is_int(n) or n != count:
         raise ValueError(f"n must be an int equal to the row count {count}")
 
 
@@ -125,7 +138,7 @@ def _rows(s, n=_NO_N) -> tuple[tuple[Perm, ...], list[Perm], list[int]]:
     cid is perm.class_ids(rows), and rows holds one tuple per class: rows[x]
     is rows[y] exactly when the two rows are equal. Table and rows must be
     sequences (no sets, dicts or generators), n (if given) must pass
-    _check_n, and entries are ints, never bools, in [0, n). The first bad
+    _check_n, and entries pass util.is_int and lie in [0, n). The first bad
     shape or entry anywhere raises ValueError; only then does the first
     repeating row raise NotBijectiveRow.
     """
@@ -146,11 +159,16 @@ def _rows(s, n=_NO_N) -> tuple[tuple[Perm, ...], list[Perm], list[int]]:
             if len(row) != n:
                 raise ValueError("table is not square")
             for v in row:
-                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                if not is_int(v) or not 0 <= v < n:
                     raise ValueError(f"entry {v!r} outside [0, {n})")
 
-    # the type test comes first, since True and 1.0 equal 1 inside a set
-    exact = set(map(len, rows)) == {n} and set(map(type, chain(*rows))) == {int}
+    # with n * n entries, all are exact ints iff n * n of their types are
+    # int itself: bool, float and int subclasses are other types, and
+    # list.count matches a type by identity first
+    exact = (
+        set(map(len, rows)) == {n}
+        and list(map(type, chain(*rows))).count(int) == n * n
+    )
     if not exact:
         name_first_bad_entry()
     # equal rows of ints are one map: check, invert and keep each class once
@@ -313,6 +331,18 @@ def verify_solution(s) -> VerifyReport:
     except NotBijectiveRow:
         return VerifyReport(False, False, False, False, False, None)
     return _report(*table)
+
+
+def rows_from_table(n: int, sigma) -> tuple[Perm, ...]:
+    """The checked rows of a sigma table, one tuple per class of equal rows.
+
+    The validating pass of solution_from_table alone: the table, n and
+    every row are checked, with the same ValueError and NotBijectiveRow,
+    but not the axioms. Solution(n, rows) of its result is a solution only
+    once something decides it, as the CLI's classify, iso and aut do by
+    classify.explicit_iso_to_c's certificate (module docstring).
+    """
+    return _rows(sigma, n)[0]
 
 
 def solution_from_table(n: int, sigma) -> Solution:

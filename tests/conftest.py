@@ -2,8 +2,8 @@
 search fails its test instead of hanging the suite.
 
 The slowest tier-1 test takes about 2.6 s and the slowest -m slow test
-about 25 s (pytest --durations on a shared 2-core x86-64 machine), so the
-bounds leave a margin of ten or more. The bound is a SIGALRM interval
+about 41 s (pytest --durations on a shared 2-core x86-64 machine), so the
+bounds leave a margin of seven or more. The bound is a SIGALRM interval
 timer, which needs a platform that has it; elsewhere tests run unbounded.
 """
 

@@ -14,7 +14,12 @@ from helpers import (
     relabel,
     shift_generators,
 )
-from ybe_lab.aut import aut_c_closed_form, automorphism_group, is_aut_cyclic_c1nr
+from ybe_lab.aut import (
+    aut_c_closed_form,
+    aut_c_invariant_factors,
+    automorphism_group,
+    is_aut_cyclic_c1nr,
+)
 from ybe_lab.classify import enumerate_family, explicit_iso_to_c, iso_search
 from ybe_lab.cli import run
 from ybe_lab.construct import CParams, build_c, build_nonabelian_example
@@ -290,28 +295,21 @@ def test_invariant_factors_match_the_element_order_reference():
         assert invariant_factors(g) == invariant_factors_by_orders(g)
 
 
-def aut_invariant_factors_rule(n1, n2, r):
-    """Invariant factors of Aut(C(n1, n2, r)) in closed form: (d1, n/d1),
-    any 1 dropped. With m = n2/n1, d1 is 2*n1 if m = 0 mod 4 and
-    r = 2 mod 4, n1/2 if n1 is even and m odd, and n1 otherwise."""
-    m = n2 // n1
-    if m % 4 == 0 and r % 4 == 2:
-        d1 = 2 * n1
-    elif n1 % 2 == 0 and m % 2:
-        d1 = n1 // 2
-    else:
-        d1 = n1
-    return tuple(f for f in (d1, n1 * n2 // d1) if f > 1)
-
-
 def check_aut_rule_up_to(top, count):
-    """The rule against the group itself, for every member up to top points."""
+    """The library's rule against the group itself, for every member up to
+    top points."""
     members = [p for n in range(1, top + 1) for p in enumerate_family(n)]
     assert len(members) == count
     for p in members:
         assert invariant_factors(automorphism_group(build_c(p))) == (
-            aut_invariant_factors_rule(*p)
+            aut_c_invariant_factors(p)
         ), p
+
+
+def test_aut_invariant_factors_rule_rejects_invalid_triples():
+    for p in ((1, 4, 1), (2, 3, 0), (0, 4, 0), (1, 4, True)):
+        with pytest.raises(InvalidParams):
+            aut_c_invariant_factors(p)
 
 
 def test_aut_invariant_factors_follow_the_closed_form():

@@ -1,15 +1,20 @@
 import io
+import itertools
 import json
+import random
 import time
+from collections import Counter
 
 import pytest
 
 import golden
-from helpers import STALLED, forbid_group_closure
-from ybe_lab.classify import DEFAULT_ORACLE_BOUND
-from ybe_lab.cli import _build_parser, main, run
+from helpers import STALLED, forbid_group_closure, relabel, swap_corrupted
+from ybe_lab import aut, classify, cli, core
+from ybe_lab.classify import DEFAULT_ORACLE_BOUND, enumerate_family, explicit_iso_to_c
+from ybe_lab.cli import _build_parser, _certify, main, run
 from ybe_lab.construct import build_c, build_nonabelian_example
-from ybe_lab.core import solution_from_table, solution_to_json
+from ybe_lab.core import solution_from_table, solution_to_json, verify_solution
+from ybe_lab.errors import YbeError
 from ybe_lab.util import square_part
 
 
@@ -391,3 +396,164 @@ def test_golden_outputs(tmp_path):
     for record in expected:
         code, out = golden.run_case(record["argv"], tmp_path)
         assert (code, out) == (record["code"], record["stdout"]), record["argv"]
+
+
+def relabeled_members(rng, limit):
+    """(triple, relabeled table) for each member up to `limit` points."""
+    for n in range(1, limit + 1):
+        for p in enumerate_family(n):
+            g = list(range(n))
+            rng.shuffle(g)
+            yield p, relabel(build_c(p).sigma, g)
+
+
+def by_certificate(n, sigma):
+    """What classify, iso and aut start from: the loader's Solution and
+    outcome, else the load's or the certificate's exception."""
+    try:
+        sol, outcome = _certify(n, sigma)
+    except (YbeError, ValueError) as exc:
+        return "load", type(exc), str(exc)
+    if outcome is not None:
+        assert verify_solution(sol.sigma).ok  # the certificate accepts only solutions
+        return sol, outcome
+    with pytest.raises(YbeError) as exc:  # as classify raises on ineligible input
+        explicit_iso_to_c(sol)
+    return "ineligible", type(exc.value), str(exc.value)
+
+
+def by_axioms(n, sigma):
+    """The same, with the axioms checked first by solution_from_table."""
+    try:
+        sol = solution_from_table(n, sigma)
+    except (YbeError, ValueError) as exc:
+        return "load", type(exc), str(exc)
+    try:
+        return sol, explicit_iso_to_c(sol)
+    except YbeError as exc:
+        return "ineligible", type(exc), str(exc)
+
+
+def check_routes_agree(tables):
+    accepted = 0
+    for table in tables:
+        result = by_certificate(len(table), table)
+        assert result == by_axioms(len(table), table), table
+        accepted += not isinstance(result[0], str)
+    return accepted
+
+
+def test_certificate_decides_the_load_on_3_point_tables():
+    tables = list(itertools.product(itertools.permutations(range(3)), repeat=3))
+    assert len(tables) == 216
+    assert check_routes_agree(tables) == 2  # C(1, 3, 0) relabeled
+
+
+def test_certificate_decides_the_load_on_corrupted_members():
+    # each member up to 64 points, relabeled, and three variants of it:
+    # two entries of a row swapped (rows stay bijective), a row overwritten
+    # by another, and an entry overwritten (a row no longer bijective)
+    rng = random.Random(20261030)
+    tables = []
+    for _, table in relabeled_members(rng, 64):
+        n = len(table)
+        tables.append(table)
+        if n == 1:
+            continue
+        tables.append(swap_corrupted(rng, table))
+        x, y = rng.sample(range(n), 2)
+        copied = [list(row) for row in table]
+        copied[x] = list(table[y])
+        tables.append(copied)
+        j, k = rng.sample(range(n), 2)
+        broken = [list(row) for row in table]
+        broken[x][j] = broken[x][k]
+        tables.append(broken)
+    accepted = check_routes_agree(tables)
+    assert accepted >= len(tables) // 4
+
+
+def test_certificate_decides_the_load_on_shift_tables():
+    # sigma_x(y) = y + c[x mod d] mod n: rows of one cyclic group, constant
+    # along the classes mod d, so many pass the regular abelian gate and
+    # the level test without being solutions. Only the certificate check,
+    # or one of recover_params's StructureViolation guards, refuses those.
+    tables = [
+        [[(y + c[x % d]) % n for y in range(n)] for x in range(n)]
+        for n in range(2, 13)
+        for d in (2, 3)
+        if n % d == 0
+        for c in itertools.product(range(n), repeat=d)
+    ]
+    assert len(tables) == 3064
+    assert check_routes_agree(tables) == 53
+    refusals = Counter()
+    for table in tables:
+        if not verify_solution(table).ok:
+            with pytest.raises(YbeError) as exc:
+                explicit_iso_to_c(core.Solution(len(table), tuple(map(tuple, table))))
+            refusals[str(exc.value)] += 1
+    assert refusals["certificate verification failed"] == 48
+
+
+@pytest.mark.slow
+def test_certificate_decides_the_load_on_4_point_tables():
+    # 3 eligible classes on 4 points, each with 4! / |Aut| = 6 labelings
+    tables = itertools.product(itertools.permutations(range(4)), repeat=4)
+    assert check_routes_agree(tables) == 18
+
+
+def test_eligible_commands_run_one_certificate_per_file(capsys, tmp_path, monkeypatch):
+    # and no axiom scan: the certificate decides that the file is a solution
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return explicit_iso_to_c(s)
+
+    def no_scan(*args):
+        raise AssertionError("the axioms were scanned")
+
+    for module in (cli, classify, aut):
+        monkeypatch.setattr(module, "explicit_iso_to_c", counted)
+    monkeypatch.setattr(core, "_report", no_scan)
+    a = write_solution(tmp_path, "a.json", build_c((2, 8, 2)))
+    b = write_solution(tmp_path, "b.json", build_c((1, 16, 4)))
+    for argv in (["classify", a], ["aut", a], ["iso", a, a], ["iso", a, b]):
+        calls.clear()
+        code, _, _ = invoke(capsys, *argv)
+        assert code == (1 if b in argv else 0)
+        assert len(calls) == len(argv) - 1, argv
+
+
+def test_eligible_aut_reads_the_group_off_the_triple(capsys, tmp_path, monkeypatch):
+    # neither the axiom scan nor the group is built for an eligible file
+    def forbidden(*args):
+        raise AssertionError("called on an eligible file")
+
+    monkeypatch.setattr(core, "_report", forbidden)
+    monkeypatch.setattr(cli, "automorphism_group", forbidden)
+    monkeypatch.setattr(cli, "invariant_factors", forbidden)
+    path = write_solution(tmp_path, "s.json", build_c((1, 12, 6)))
+    code, out, _ = invoke(capsys, "aut", path)
+    assert code == 0
+    assert json.loads(out) == {
+        "order": 12,
+        "abelian": True,
+        "invariant_factors": [2, 6],
+        "cyclic": False,
+    }
+
+
+def test_aut_with_and_without_elements_agree(capsys, tmp_path):
+    # the triple's closed form against the group that --elements builds
+    rng = random.Random(20261031)
+    for p, table in relabeled_members(rng, 64):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"n": len(table), "sigma": table}), encoding="utf-8")
+        code, out, _ = invoke(capsys, "aut", str(path))
+        full_code, full_out, _ = invoke(capsys, "aut", str(path), "--elements")
+        assert code == full_code == 0
+        full = json.loads(full_out)
+        assert len(full.pop("elements")) == len(table)
+        assert json.loads(out) == full, p

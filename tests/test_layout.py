@@ -117,8 +117,10 @@ def test_no_private_names_cross_modules():
                 assert not private, f"{name} imports {private} from {module}"
 
 
-def test_core_imports_only_errors_and_perm():
-    assert {m for m, _ in package_imports(MODULES["core"])} <= {"errors", "perm"}
+def test_core_imports_only_errors_perm_and_util():
+    # util, whose int rule core takes, imports nothing from the package
+    assert {m for m, _ in package_imports(MODULES["core"])} <= {"errors", "perm", "util"}
+    assert package_imports(MODULES["util"]) == []
 
 
 def test_core_checks_and_inverts_rows_in_one_pass():
@@ -143,10 +145,10 @@ def test_core_decides_through_one_composition_scan():
     assert functions_reading(core, "_cycle") == {"check_cycle_condition", "_report"}
 
 
-def test_core_reads_bool_only_in_the_table_and_n_rules():
-    # one rule for entries (_rows) and one for n (_check_n): no other
-    # path in core decides on its own what a valid table is
-    assert functions_reading(MODULES["core"], "bool") == {"_rows", "_check_n"}
+def test_core_reads_no_bool():
+    # entries (_rows) and n (_check_n) take util.is_int, the package's one
+    # int rule: no path in core decides on its own what an int is
+    assert functions_reading(MODULES["core"], "bool") == set()
 
 
 def test_is_abelian_has_one_path():
