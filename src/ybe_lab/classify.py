@@ -7,9 +7,10 @@ parameter triple of the isomorphic family member is recovered directly
 from the structure: n2 is the common row order, n1 = n/n2, and r is the
 unique exponent with sigma_{sigma_e(e)}^{n1} = sigma_e^{(r+1)*n1}. The
 permutation group is then regular abelian (below), so recover_params
-reads the row orders and r off cycles through e = 0, after one class-id
-pass over the rows (perm.class_ids, which hashes no row of a regular
-group), with no power or group built. A regular abelian group A is also
+reads the row orders and r off cycles through e = 0, from the
+Solution's one class partition (core.Solution.classes: perm.class_ids,
+which hashes no row of a regular group, run on first read and kept),
+with no power or group built. A regular abelian group A is also
 its own centralizer in the symmetric group, so recovery decides
 "transitive and abelian" from a few rows
 (perm.check_regular_abelian): commuting rows whose orbit of 0 is the
@@ -54,7 +55,6 @@ from .perm import (
     Perm,
     all_commute,
     check_regular_abelian,
-    class_ids,
     compose,
     cycle_length,
     inverse,
@@ -78,13 +78,16 @@ def _invariants(s: Solution):
     (n, sorted row orders, number of distinct rows, one orbit?, rows
     commute?, mpl). The distinct rows generate the permutation group, so
     the fourth and fifth entries say whether it is transitive and abelian;
-    no group is built.
+    no group is built. They are one row per class of s.classes, the
+    partition that mpl reads too, and each row's order is read through its
+    class id, so no row is hashed here.
     """
-    rows = sorted(set(s.sigma))
-    orders = {row: order(row) for row in rows}
+    cid = s.classes
+    rows = list(dict(zip(cid, s.sigma)).values())
+    orders = [order(row) for row in rows]
     return (
         s.n,
-        tuple(sorted(map(orders.__getitem__, s.sigma))),
+        tuple(sorted(map(orders.__getitem__, cid))),
         len(rows),
         len(orbits(s.n, rows)) == 1,
         all_commute(rows),
@@ -201,11 +204,13 @@ def recover_params(s: Solution) -> CParams:
     only on raw Solution(n, rows) tables: an eligible solution is
     isomorphic to a member (the paper).
 
-    No group is built, and one perm.class_ids pass numbers the rows: on
-    an eligible table it compares each row once and hashes none, and on
-    a loaded one, whose equal rows are one tuple, it is O(n). One row of
-    each class stands for it, for perm.check_regular_abelian (module
-    docstring) and the level test, which holds at n = 1 unasked.
+    No group is built, and the rows are numbered by s.classes, the
+    Solution's one kept partition: its perm.class_ids pass runs on the
+    first read only, compares each row of an eligible table once and
+    hashes none, and on a loaded table, whose equal rows are one tuple, it
+    is O(n). One row of each class stands for it, for
+    perm.check_regular_abelian (module docstring) and the level test,
+    which holds at n = 1 unasked.
     After the gate every row lies in one regular abelian group A of order
     n, so a row is known by its image of 0, and its order is the length
     of its cycle through 0, which divides n (Lagrange). Hence
@@ -218,7 +223,7 @@ def recover_params(s: Solution) -> CParams:
     has lcm(n1, n2/gcd(r, n2)) distinct rows, at most sqrt(n) on every
     member up to 5000 points.
     """
-    cid = class_ids(s.sigma)
+    cid = s.classes
     rows = list(dict(zip(cid, s.sigma)).values())
     check_regular_abelian(s.n, rows)
     if not mpl_at_most_2_on_classes(s.sigma, cid):

@@ -19,12 +19,14 @@ whole group (as group_closure and aut.automorphism_group give it), and
 neither loops over pairs of elements. cycle_length walks one cycle: an
 abelian group is regular on each orbit, so invariant_factors and
 classify's parameter recovery read element orders off it. class_ids
-numbers the classes of equal rows, the retraction's classes, for
-retract, classify and core's table check, whose ids the cycle scan reads.
-It keys rows by their image of 0, which fixes an element of a regular
-group, so on the rows of one (every eligible table) it makes one compare
-pass and hashes no row, and on rows interned to one tuple per class (as
-core's table check hands them out) that pass is O(n).
+numbers the classes of equal rows, the retraction's classes. Only core
+calls it: its table check, whose ids the cycle scan reads, and
+core.Solution.classes, the one partition a Solution keeps, which
+retract and classify read. It keys rows by their image of 0, which
+fixes an element of a regular group, so on the rows of one (every
+eligible table) it makes one compare pass and hashes no row, and on
+rows interned to one tuple per class (as core's table check hands them
+out) that pass is O(n).
 precompose turns a permutation g into an itemgetter that composes
 others with it in C, f -> f . g: build it once where one permutation is
 composed with many, or where many compositions run in a loop. It is the

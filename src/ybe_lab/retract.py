@@ -1,18 +1,19 @@
 """Retraction, multipermutation level, and the level-2 predicates.
 
-The retraction and both predicates work on class ids: one perm.class_ids
-pass numbers the rows by first occurrence (one compare per row, no hash,
-on rows of a regular group; O(n) on interned rows), and ints are
-compared, not whole rows, so each is O(n^2). mpl_at_most_2_on_classes is
-the level-2 test on ids a caller already has, for classify's parameter
-recovery.
+The retraction and both predicates work on class ids, read from the
+Solution's one kept partition (core.Solution.classes: perm.class_ids,
+numbered by first occurrence, computed on first read), and ints are
+compared, not whole rows, so each is O(n^2) and none numbers the rows
+again. The level tests read the ids along one row per class with
+perm.precompose, in C. mpl_at_most_2_on_classes is the level-2 test on
+ids a caller already has, for classify's parameter recovery.
 """
 
 from dataclasses import dataclass
 
 from .core import Solution
 from .errors import CarrierTooSmall
-from .perm import class_ids
+from .perm import precompose
 
 
 @dataclass(frozen=True)
@@ -32,13 +33,13 @@ def retract(s: Solution) -> RetractionResult:
     is a solution, are theorems (Etingof-Schedler-Soloviev), so neither is
     checked here; test_retract_is_well_defined checks both.
     """
-    proj = class_ids(s.sigma)
+    proj = s.classes
     first: dict[int, int] = {}
     for x, c in enumerate(proj):
         first.setdefault(c, x)
     reps = list(first.values())
     qrows = tuple(tuple(proj[s.sigma[x][y]] for y in reps) for x in reps)
-    return RetractionResult(Solution(len(qrows), qrows), tuple(proj))
+    return RetractionResult(Solution(len(qrows), qrows), proj)
 
 
 def mpl(s: Solution) -> int | None:
@@ -60,9 +61,9 @@ def mpl(s: Solution) -> int | None:
 
 def is_2_reductive(s: Solution) -> bool:
     """True iff sigma_{sigma_x(y)} = sigma_y for all x, y."""
-    cid = class_ids(s.sigma)
+    cid = s.classes
     # class ids along row x, one row per class, must read cid itself
-    return all([cid[v] for v in row] == cid for row in dict(zip(cid, s.sigma)).values())
+    return all(precompose(row)(cid) == cid for row in dict(zip(cid, s.sigma)).values())
 
 
 def is_mpl_at_most_2(s: Solution) -> bool:
@@ -73,14 +74,15 @@ def is_mpl_at_most_2(s: Solution) -> bool:
     """
     if s.n < 2:
         raise CarrierTooSmall("level-2 test needs at least two points")
-    return mpl_at_most_2_on_classes(s.sigma, class_ids(s.sigma))
+    return mpl_at_most_2_on_classes(s.sigma, s.classes)
 
 
 def mpl_at_most_2_on_classes(sigma, cid) -> bool:
     """is_mpl_at_most_2 on rows whose class ids (perm.class_ids) are known.
 
-    For callers that numbered the rows already; n >= 2 is theirs to check.
+    For callers that hold the ids already (Solution.classes); n >= 2 is
+    theirs to check.
     """
     # class ids along every row y, one row per class, must read as along row 0
-    ref = [cid[v] for v in sigma[0]]
-    return all([cid[v] for v in row] == ref for row in dict(zip(cid, sigma)).values())
+    ref = precompose(sigma[0])(cid)
+    return all(precompose(row)(cid) == ref for row in dict(zip(cid, sigma)).values())

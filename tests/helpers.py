@@ -2,8 +2,9 @@
 
 Everything here recomputes definitions from scratch on plain lists and
 dicts so that library results are checked against a second code path,
-not against themselves. The one exception is forbid_group_closure, a
-guard that makes any group closure inside the library fail a test.
+not against themselves. The exceptions are two guards on the library:
+forbid_group_closure makes any group closure inside it fail a test, and
+count_class_id_passes records every pass that numbers row classes.
 """
 
 import itertools
@@ -406,3 +407,20 @@ def forbid_group_closure(monkeypatch):
         if name == "ybe_lab" or name.startswith("ybe_lab."):
             if getattr(module, "group_closure", None) is original:
                 monkeypatch.setattr(module, "group_closure", no_closure)
+
+
+def count_class_id_passes(monkeypatch):
+    """Wrap class_ids at every ybe_lab module that binds it; the returned
+    list gets the rows of each numbering pass, in call order."""
+    passes = []
+    original = perm.class_ids
+
+    def counted(rows):
+        passes.append(rows)
+        return original(rows)
+
+    for name, module in list(sys.modules.items()):
+        if name == "ybe_lab" or name.startswith("ybe_lab."):
+            if getattr(module, "class_ids", None) is original:
+                monkeypatch.setattr(module, "class_ids", counted)
+    return passes

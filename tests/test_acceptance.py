@@ -15,6 +15,7 @@ import pytest
 from helpers import (
     STALLED,
     braid_fails_at,
+    count_class_id_passes,
     cycle_condition_fails_at,
     direct_product,
     is_cyclic,
@@ -37,7 +38,7 @@ from ybe_lab.classify import (
     recover_params,
 )
 from ybe_lab.construct import CParams, build_c, build_nonabelian_example
-from ybe_lab.core import check_cycle_condition, solution_from_table, verify_solution
+from ybe_lab.core import Solution, check_cycle_condition, solution_from_table, verify_solution
 from ybe_lab.errors import NotAbelian
 from ybe_lab.perm import (
     compose,
@@ -375,3 +376,25 @@ def test_criterion_18_verify_a_256_point_table_with_every_row_distinct():
     # each witness fails its definition at that one triple
     assert cycle_condition_fails_at(bad, *witness)
     assert braid_fails_at(bad, *report.first_failure)
+
+
+def test_criterion_19_recover_and_mpl_of_a_1024_point_raw_solution(monkeypatch):
+    # the benchmark's shape: a relabeled member built as Solution(n, rows)
+    # with every row its own tuple, so numbering its classes compares whole
+    # rows; recovery and mpl, each run twice, share one numbering pass
+    member = build_c((2, 512, 16))
+    g = list(range(member.n))
+    random.Random(20261031).shuffle(g)
+    table = relabel(member.sigma, g)
+    loaded = solution_from_table(member.n, table)
+    raw = Solution(member.n, tuple(tuple(row) for row in table))
+    assert len(set(map(id, raw.sigma))) == raw.n > len(set(map(id, loaded.sigma)))
+    expected = (recover_params(loaded), mpl(loaded))
+    assert expected == (CParams(2, 512, 16), 2)
+    passes = count_class_id_passes(monkeypatch)
+    with criterion("19 recover and mpl of a 1024 point raw solution", 1.0):
+        for _ in range(2):
+            assert (recover_params(raw), mpl(raw)) == expected
+    # one pass over the n rows in all; mpl numbers only the smaller quotients
+    sizes = list(map(len, passes))
+    assert sizes.count(raw.n) == 1 and max(sizes[1:], default=0) < raw.n

@@ -11,6 +11,7 @@ from helpers import (
     UnhashableRow,
     certificate_by_conjugation,
     class_ids_by_whole_rows,
+    count_class_id_passes,
     forbid_group_closure,
     is_transitive,
     oracle_is_solution,
@@ -264,22 +265,18 @@ def test_recover_params_matches_closure_reference(monkeypatch):
 
 
 def test_recover_params_hashes_the_rows_once(monkeypatch):
-    # one class_ids pass gives the distinct rows and serves the level test:
-    # no set of the rows, and no second pass in is_mpl_at_most_2
-    calls = []
-
-    def counted(rows):
-        calls.append(len(rows))
-        return class_ids(rows)
-
+    # a Solution numbers its rows once (Solution.classes), and recovery,
+    # the retraction, mpl and both level predicates read that partition:
+    # one class_ids pass over the n rows in all, none on a second recovery,
+    # no set of the rows, and no is_mpl_at_most_2 inside recovery
     def forbidden(*args):
         raise AssertionError("the rows were numbered again")
 
     # the package binds the name retract to the function, so modules are
     # taken from sys.modules
     classify, retract = (sys.modules[f"ybe_lab.{m}"] for m in ("classify", "retract"))
-    monkeypatch.setattr(classify, "class_ids", counted)
-    monkeypatch.setattr(retract, "class_ids", counted)
+    readers = [retract.retract, mpl, retract.is_2_reductive, retract.is_mpl_at_most_2]
+    calls = count_class_id_passes(monkeypatch)
     monkeypatch.setattr(retract, "is_mpl_at_most_2", forbidden)
     for name in ("set", "is_mpl_at_most_2"):
         monkeypatch.setattr(classify, name, forbidden, raising=False)
@@ -294,7 +291,13 @@ def test_recover_params_hashes_the_rows_once(monkeypatch):
         calls.clear()
         outcome = _outcome(recover_params, s)
         assert outcome == expected or outcome[0] is expected
-        assert calls == [s.n]
+        assert calls == [s.sigma]
+        assert _outcome(recover_params, s) == outcome
+        assert calls == [s.sigma]
+        for read in readers[: 4 if s.n >= 2 else 3]:
+            read(s)
+        # mpl numbers each smaller quotient once; the n rows stay numbered
+        assert [rows for rows in calls if len(rows) == s.n] == [s.sigma]
 
 
 def test_recover_params_and_mpl_hash_no_row():

@@ -1,6 +1,8 @@
+import dataclasses
 import enum
 import itertools
 import json
+import pickle
 import random
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from helpers import (
     LEVEL3,
     STALLED,
+    class_ids_by_whole_rows,
     direct_product,
     oracle_braid_witness,
     oracle_cycle_witness,
@@ -18,7 +21,7 @@ from helpers import (
     swap_corrupted,
 )
 from ybe_lab.classify import enumerate_family
-from ybe_lab.construct import build_c, build_nonabelian_example
+from ybe_lab.construct import build_c, build_nonabelian_example, inverse_isotope, pi_isotope
 from ybe_lab.core import (
     Solution,
     VerifyReport,
@@ -522,6 +525,40 @@ def test_solution_is_frozen():
     s = solution_from_table(1, [[0]])
     with pytest.raises(AttributeError):
         s.n = 2
+
+
+def test_solution_classes_number_the_rows_by_whole_rows():
+    # the kept partition is the whole-row numbering on shared rows (members,
+    # isotopes, the witness, loaded tables) and on equal rows that are
+    # separate tuples (a direct Solution(n, rows) of a relabeled table)
+    base = build_c((2, 8, 2))
+    flat = inverse_isotope(base, 3)
+    g = list(range(base.n))
+    random.Random(31).shuffle(g)
+    raw = Solution(base.n, tuple(map(tuple, relabel(base.sigma, g))))
+    assert len(set(map(id, raw.sigma))) == raw.n > len(set(raw.sigma))
+    pool = [build_c(p) for p in ((1, 1, 0), (1, 9, 3), (4, 64, 8))]
+    pool += [base, flat, pi_isotope(flat, base.sigma[3]), raw]
+    pool += [build_nonabelian_example(m) for m in (1, 3, 8)]
+    pool += [solution_from_table(len(t), t) for t in (LEVEL3, STALLED)]
+    for s in pool:
+        assert s.classes == tuple(class_ids_by_whole_rows(s.sigma))
+
+
+def test_the_class_partition_is_kept_but_not_a_field():
+    g = list(range(16))
+    random.Random(32).shuffle(g)
+    table = relabel(build_c((2, 8, 2)).sigma, g)
+    fresh, numbered = (Solution(16, tuple(map(tuple, table))) for _ in range(2))
+    classes = numbered.classes
+    assert numbered.classes is classes
+    assert "classes" in vars(numbered) and "classes" not in vars(fresh)
+    assert fresh == numbered and hash(fresh) == hash(numbered)
+    assert repr(fresh) == repr(numbered) and "classes" not in repr(numbered)
+    assert [f.name for f in dataclasses.fields(numbered)] == ["n", "sigma"]
+    back = pickle.loads(pickle.dumps(numbered))
+    assert back == numbered and vars(back)["classes"] == classes
+    assert pickle.loads(pickle.dumps(fresh)).classes == classes
 
 
 def test_json_round_trip():

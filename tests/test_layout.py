@@ -133,8 +133,19 @@ def test_core_checks_and_inverts_rows_in_one_pass():
 
 def test_core_numbers_the_row_classes_once():
     # _rows numbers the classes of equal rows and hands the ids to every
-    # kernel; no other code in core hashes the rows or inverses again
-    assert functions_reading(MODULES["core"], "class_ids") == {"_rows"}
+    # kernel, and a Solution numbers its own rows once, in its classes
+    # property; no other code in core hashes the rows or inverses again
+    core = MODULES["core"]
+    assert functions_reading(core, "class_ids") == {"_rows", "Solution"}
+    (solution,) = [
+        node for node in core.body
+        if isinstance(node, ast.ClassDef) and node.name == "Solution"
+    ]
+    assert functions_reading(solution, "class_ids") == {"classes"}
+    # every other module reads a Solution's classes, not class_ids
+    for name, tree in MODULES.items():
+        if name not in ("core", "perm"):
+            assert "class_ids" not in referenced_names(tree), name
 
 
 def test_core_decides_through_one_composition_scan():
