@@ -184,14 +184,18 @@ def test_criterion_07_exhaustive_search_matches_count():
                 assert certificate_ok(outcome.phi, build_c(p), s)
 
 
-@pytest.mark.slow
 def test_criterion_07_exhaustive_search_at_5_points():
-    with criterion("7s exhaustive search matches the count at 5 points", 600.0):
+    with criterion("7 exhaustive search matches the count at 5 and 6 points", 20.0):
         reps = exhaustive_enumerate(
             5, indecomposable=True, abelian=True, mpl_le_2=True
         )
         assert len(reps) == count_family(5) == 1
         assert recover_params(reps[0]) == CParams(1, 5, 0)
+        reps = exhaustive_enumerate(
+            6, indecomposable=True, abelian=True, mpl_le_2=True, max_n=6
+        )
+        assert len(reps) == count_family(6) == 1
+        assert [recover_params(reps[0])] == enumerate_family(6) == [CParams(1, 6, 0)]
 
 
 def test_criterion_08_automorphism_groups_of_the_4_point_members():

@@ -1,6 +1,9 @@
+import gc
 import itertools
+import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +51,16 @@ from ybe_lab.perm import (
 )
 from ybe_lab.retract import mpl
 from ybe_lab.util import divisors, square_part
+
+# The sigma tables of exhaustive_enumerate(5, ...) under each filter set
+# (keys as for CLI --filter), written by the pairwise-isomorphism search
+# that the orbit-set search replaced. Edit only for an intended change.
+EXHAUSTIVE_5 = Path(__file__).with_name("data") / "exhaustive5.json"
+FILTER_SETS = [
+    ",".join(subset)
+    for k in range(4)
+    for subset in itertools.combinations(("indecomposable", "abelian", "mpl2"), k)
+]
 
 
 def check_certificate(phi, src, dst):
@@ -625,3 +638,30 @@ def test_exhaustive_enumerate_bound():
     assert len(exhaustive_enumerate(2, max_n=2)) == 2
     with pytest.raises(ValueError):
         exhaustive_enumerate(0)
+
+
+@pytest.mark.parametrize("filters", FILTER_SETS)
+def test_exhaustive_enumerate_matches_the_5_point_listings(filters):
+    listings = json.loads(EXHAUSTIVE_5.read_text(encoding="utf-8"))
+    assert sorted(listings) == sorted(FILTER_SETS)
+    reps = exhaustive_enumerate(
+        5,
+        indecomposable="indecomposable" in filters,
+        abelian="abelian" in filters,
+        mpl_le_2="mpl2" in filters,
+    )
+    assert [[list(row) for row in s.sigma] for s in reps] == listings[filters]
+    if not filters:
+        # the published count of involutive solutions on 5 points (OEIS A290887)
+        assert len(reps) == 88
+
+
+def test_exhaustive_enumerate_leaves_no_cyclic_garbage():
+    # the search's per-call state is freed by reference counting at return
+    gc.collect()
+    gc.disable()
+    try:
+        exhaustive_enumerate(5, abelian=True)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
