@@ -59,12 +59,17 @@ them (the docstrings of build_c, retract and exhaustive_enumerate name
 the tests).
 
 _rows is the only validator of a table, a Solution's rows included. It
-tests shape and entry types over the whole table in C, then checks and
-inverts one row per class of equal rows (perm.class_ids), so equal rows
-share one inverse; only a rejected table is scanned entry by entry. It
+tests shape and entry types once per distinct row object, in C, then
+checks and inverts one row per class of equal rows (perm.class_ids), so
+equal rows share one inverse; only a rejected table is scanned entry by
+entry. table_from_json hands out the equal rows of solution_to_json's
+text as one list, so a loaded table costs O(k n) here for k distinct
+rows, and class_ids meets shared tuples, which it decides by identity;
+equal rows that are separate objects cost what they always did. _rows
 hands out one tuple per class, so a loaded Solution's equal rows are one
-object. Every kernel (tau_from_sigma, _cycle, _diagonal) reads those
-rows, inverses and ids. Past the load, a Solution numbers its own classes
+object, and solution_to_json encodes each distinct row object once.
+Every kernel (tau_from_sigma, _cycle, _diagonal) reads those rows,
+inverses and ids. Past the load, a Solution numbers its own classes
 once, on first read of Solution.classes, and keeps them: parameter
 recovery, the retraction and the level predicates all read that one
 partition, so an O(n^2) whole-row pass over equal rows that are separate
@@ -73,6 +78,7 @@ over a loaded Solution's shared tuples it is O(n).
 """
 
 import json
+import re
 from collections.abc import Sequence
 from dataclasses import InitVar, dataclass
 from functools import cached_property
@@ -155,13 +161,26 @@ def _rows(s, n=_NO_N) -> tuple[tuple[Perm, ...], list[Perm], list[int]]:
     sequences (no sets, dicts or generators), n (if given) must pass
     _check_n, and entries pass util.is_int and lie in [0, n). The first bad
     shape or entry anywhere raises ValueError; only then does the first
-    repeating row raise NotBijectiveRow.
+    repeating row raise NotBijectiveRow. The shape and type checks run once
+    per distinct row object, so rows that are one object (as table_from_json
+    hands them out) cost one row, and their tuples are one tuple.
     """
     if isinstance(s, Solution):
         s = s.sigma
-    if not isinstance(s, Sequence) or not all(isinstance(row, Sequence) for row in s):
+    if not isinstance(s, Sequence):
         raise ValueError("sigma must be a sequence of rows")
-    rows = tuple(tuple(row) for row in s)
+    # the list holds every row object while they are keyed by id
+    table = list(s)
+    objects = dict(zip(map(id, table), table))
+    if not all(isinstance(row, Sequence) for row in objects.values()):
+        raise ValueError("sigma must be a sequence of rows")
+    distinct = [tuple(row) for row in objects.values()]
+    if len(distinct) == len(table):
+        # every row its own object: distinct is in table order already
+        rows = tuple(distinct)
+    else:
+        tuple_of = dict(zip(objects, distinct))
+        rows = tuple([tuple_of[id(row)] for row in table])
     if n is not _NO_N:
         _check_n(n, len(rows))
     n = len(rows)
@@ -177,12 +196,12 @@ def _rows(s, n=_NO_N) -> tuple[tuple[Perm, ...], list[Perm], list[int]]:
                 if not is_int(v) or not 0 <= v < n:
                     raise ValueError(f"entry {v!r} outside [0, {n})")
 
-    # with n * n entries, all are exact ints iff n * n of their types are
-    # int itself: bool, float and int subclasses are other types, and
-    # list.count matches a type by identity first
+    # with n entries in each distinct row, all are exact ints iff that many
+    # of their types are int itself: bool, float and int subclasses are
+    # other types, and list.count matches a type by identity first
     exact = (
-        set(map(len, rows)) == {n}
-        and list(map(type, chain(*rows))).count(int) == n * n
+        set(map(len, distinct)) == {n}
+        and list(map(type, chain(*distinct))).count(int) == n * len(distinct)
     )
     if not exact:
         name_first_bad_entry()
@@ -378,19 +397,76 @@ def solution_from_table(n: int, sigma) -> Solution:
 
 
 def solution_to_json(s: Solution) -> str:
-    """Serialize as {"n": ..., "sigma": [[...], ...]}; tau is never serialized."""
-    return json.dumps(
-        {"n": s.n, "sigma": [list(row) for row in s.sigma]},
-        separators=(",", ":"),
-    )
+    """Serialize as {"n": ..., "sigma": [[...], ...]}; tau is never serialized.
+
+    The text is json.dumps of that object with separators (",", ":"), byte
+    for byte; each distinct row object is encoded once and its text reused.
+    """
+    text_of = {}
+    for row in s.sigma:
+        if id(row) not in text_of:
+            text_of[id(row)] = json.dumps(list(row), separators=(",", ":"))
+    body = ",".join([text_of[id(row)] for row in s.sigma])
+    return f'{{"n":{json.dumps(s.n)},"sigma":[{body}]}}'
+
+
+# solution_to_json's form up to the first row's entries
+_COMPACT_HEAD = re.compile(r'\{"n":(0|[1-9][0-9]*),"sigma":\[\[')
+_ROW_PIECE = re.compile(r",\[[0-9,]*")
+
+
+def _shared_rows(text: str):
+    """(n, sigma) of compact text with a repeated row, else None.
+
+    Split on "]", text in solution_to_json's form is one piece per row,
+    ",[" and the row's entries (the first piece once ",[" replaces its
+    head), then "" and "}" with trailing JSON whitespace. json.loads parses
+    each distinct row once, in one call, so equal rows come back as one
+    list. The split is exact only because every distinct piece is ",["
+    then digits and commas; any other text, a text with no repeated row,
+    or a ValueError here gives None, and json.loads of the whole text
+    decides. A split on one character costs about half one on "],[", and
+    a text with no repeated row pays it for nothing.
+    """
+    head = _COMPACT_HEAD.match(text)
+    if head is None:
+        return None
+    pieces = text.split("]")
+    # JSON whitespace, not str.isspace
+    if len(pieces) < 3 or pieces[-2] or pieces[-1].rstrip(" \t\n\r") != "}":
+        return None
+    del pieces[-2:]
+    pieces[0] = ",[" + pieces[0][head.end() :]
+    if len(set(pieces)) == len(pieces):
+        return None
+    number: dict = {}
+    index = [number.setdefault(piece, len(number)) for piece in pieces]
+    if not all(map(_ROW_PIECE.fullmatch, number)):
+        return None
+    try:
+        n = int(head[1])
+        rows = json.loads("[" + "]".join(number)[1:] + "]]")
+    except ValueError:
+        return None
+    return n, [rows[i] for i in index]
 
 
 def table_from_json(text: str) -> tuple[int, list]:
     """Parse solution JSON into (n, sigma): an object with "n" and a list "sigma".
 
     Checks only what JSON adds, n under _check_n; whoever takes the table
-    checks its rows. Raises ValueError, also for JSON nested too deeply.
+    checks its rows. Text in solution_to_json's compact form with a repeated
+    row goes through _shared_rows, one json.loads call over its distinct
+    row texts, so equal rows may be one list: callers must not mutate
+    them. Every other text, and any text that path refuses, goes to
+    json.loads whole, which raises every parse error with its own type and
+    message. Raises ValueError, also for JSON nested too deeply.
     """
+    shared = _shared_rows(text) if isinstance(text, str) else None
+    if shared is not None:
+        n, sigma = shared
+        _check_n(n, len(sigma))
+        return n, sigma
     try:
         data = json.loads(text)
     except RecursionError:

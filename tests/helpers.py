@@ -8,6 +8,7 @@ count_class_id_passes records every pass that numbers row classes.
 """
 
 import itertools
+import json
 import math
 import random
 import sys
@@ -216,6 +217,32 @@ def class_ids_by_whole_rows(rows):
     keyed by whole rows."""
     first = {}
     return [first.setdefault(tuple(row), len(first)) for row in rows]
+
+
+def table_by_json_loads(text):
+    """(n, sigma) of a solution text by json.loads of the whole text alone,
+    with the table_from_json rule for what JSON adds: an object with a list
+    "sigma" and an int (never a bool) "n" equal to its length."""
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    if not isinstance(data, dict) or not isinstance(data.get("sigma"), list):
+        raise ValueError('expected an object with "n" and a list "sigma"')
+    n, count = data.get("n"), len(data["sigma"])
+    if not isinstance(n, int) or isinstance(n, bool) or n != count:
+        raise ValueError(f"n must be an int equal to the row count {count}")
+    return n, data["sigma"]
+
+
+def parse_outcome(parse, text):
+    """What parse(text) gives: its n, the type of n and sigma, or the type
+    and message of what it raised."""
+    try:
+        n, sigma = parse(text)
+    except Exception as exc:  # every error, so that none is missed
+        return "raised", type(exc), str(exc)
+    return "parsed", n, type(n), sigma
 
 
 class UnhashableRow(tuple):

@@ -4,6 +4,7 @@ import itertools
 import json
 import pickle
 import random
+import re
 
 import pytest
 
@@ -15,12 +16,15 @@ from helpers import (
     oracle_braid_witness,
     oracle_cycle_witness,
     oracle_is_solution,
+    parse_outcome,
     random_bijective_table,
     relabel,
     rows_shared_iff_equal,
     swap_corrupted,
+    table_by_json_loads,
 )
-from ybe_lab.classify import enumerate_family
+from ybe_lab import core
+from ybe_lab.classify import enumerate_family, exhaustive_enumerate
 from ybe_lab.construct import build_c, build_nonabelian_example, inverse_isotope, pi_isotope
 from ybe_lab.core import (
     Solution,
@@ -28,14 +32,17 @@ from ybe_lab.core import (
     _diagonal,
     _rows,
     check_cycle_condition,
+    rows_from_table,
     solution_from_json,
     solution_from_table,
     solution_to_json,
+    table_from_json,
     tau_from_sigma,
     verify_solution,
 )
 from ybe_lab.errors import AxiomViolation, NotBijectiveRow
 from ybe_lab.perm import class_ids, compose, inverse, is_perm
+from ybe_lab.util import is_int
 
 # two valid 4-point tables used throughout: the cyclic member with twist
 # and the one with a rank-two permutation group
@@ -579,3 +586,115 @@ def test_json_parse_errors():
         solution_from_json("{not json")
     with pytest.raises(AxiomViolation):
         solution_from_json('{"n":2,"sigma":[[0,1],[1,0]]}')
+
+
+def respellings(v):
+    """Other spellings of the entry or n spelled v: most are not JSON ints,
+    or not the compact form, and some are neither."""
+    return [
+        "0" + v, "00", "-0", "-" + v, v + ".0", "1.0", v + "e0", "1e0", "1E0",
+        " " + v, v + " ", "\t" + v, v + "\n", "\r" + v, "\x0b" + v, "\x0c" + v,
+        "\u00a0" + v, "\u0661", "\uff11", "\u00b2", "9" * 5000, "1" + "0" * 4300,
+        v + ",", "," + v, "", v + v, "true", "null", '"' + v + '"', "[" + v + "]",
+        v + "]", "[" + v, v + "],[" + v, "[" + v + "],[" + v + "]", "[[" + v + "],[" + v,
+        "NaN", "Infinity", "-Infinity", '"],["', '"]"',
+    ]
+
+
+TAILS = [
+    "", "\n", " \t\n\r", "\x0b", "\x0c", "\u00a0", "\u2028", "\x00", "]]}",
+    "]", "}", ",", "x", "\n{}",
+]
+# in place of the closing "]]}"
+ENDINGS = ["]}", "]]]}", "] ]}", "]] }", "]],}", "]]", "]]}}", "],]}"]
+
+
+def canonical_texts():
+    """solution_to_json texts of members (relabeled too) and of tables
+    with no repeated row."""
+    rng = random.Random(35)
+    sols = [build_c(p) for n in (1, 4, 8, 9, 12) for p in enumerate_family(n)]
+    g = list(range(16))
+    rng.shuffle(g)
+    sols.append(solution_from_table(16, relabel(build_c((2, 8, 2)).sigma, g)))
+    sols += [solution_from_table(4, STALLED), build_nonabelian_example(3)]
+    return [solution_to_json(s) for s in sols]
+
+
+def test_table_from_json_is_json_loads_on_every_spelling():
+    # the compact-form path must give what json.loads of the whole text
+    # gives, or raise the same type with the same message
+    rng = random.Random(3500)
+    checked = 0
+    for text in canonical_texts():
+        assert rows_shared_iff_equal(table_from_json(text)[1])
+        spots = [m.span() for m in re.finditer(r"[0-9]+", text)]
+        variants = [text + tail for tail in TAILS]
+        variants += [text[:-3] + end for end in ENDINGS]
+        variants += [text[:i] for i in range(len(text))]
+        for a, b in (spots[0], spots[1], spots[len(spots) // 2], spots[-1]):
+            variants += [text[:a] + w + text[b:] for w in respellings(text[a:b])]
+        for _ in range(40):
+            i, j = sorted(rng.sample(range(len(text) + 1), 2))
+            variants.append(text[:j] + text[i:j] + text[j:])
+        for variant in variants:
+            want = parse_outcome(table_by_json_loads, variant)
+            assert parse_outcome(table_from_json, variant) == want, variant[:80]
+        checked += len(variants)
+    assert checked > 5000
+
+
+def test_loaded_equal_rows_are_one_list(monkeypatch):
+    # and _rows decides their entry types by the count over distinct rows,
+    # with no entry-by-entry scan: util.is_int runs once, for n
+    checked = []
+    monkeypatch.setattr(core, "is_int", lambda v: checked.append(v) or is_int(v))
+    for p in [p for n in (4, 9, 16, 36) for p in enumerate_family(n)]:
+        s = build_c(p)
+        for text in (solution_to_json(s), solution_to_json(s) + "\n"):
+            n, sigma = table_from_json(text)
+            assert (n, sigma) == (s.n, [list(row) for row in s.sigma])
+            assert rows_shared_iff_equal(sigma)
+            checked.clear()
+            assert rows_from_table(n, sigma) == s.sigma and checked == [n]
+
+
+def test_a_member_text_is_parsed_once_per_distinct_row(monkeypatch):
+    # relabeled C(2, 512, 16) has 32 distinct rows of 1024: one json.loads
+    # call reads them, on at most 1/16 of the text
+    g = list(range(1024))
+    random.Random(1024).shuffle(g)
+    table = relabel(build_c((2, 512, 16)).sigma, g)
+    text = solution_to_json(Solution(1024, tuple(map(tuple, table))))
+    parsed = []
+    loads = json.loads
+
+    def counted(doc, *args, **kwargs):
+        parsed.append(doc)
+        return loads(doc, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counted)
+    n, sigma = table_from_json(text)
+    assert len(parsed) == 1 and 16 * len(parsed[0]) <= len(text)
+    assert (n, sigma) == (1024, table)
+    assert len(set(map(id, sigma))) == 32
+    # with no repeated row, the one call parses the whole text
+    distinct = solution_to_json(solution_from_table(4, STALLED))
+    parsed.clear()
+    assert table_from_json(distinct) == (4, STALLED)
+    assert parsed == [distinct]
+
+
+def test_solution_to_json_is_json_dumps_byte_for_byte():
+    base = build_c((2, 8, 2))
+    g = list(range(base.n))
+    random.Random(36).shuffle(g)
+    raw = Solution(base.n, tuple(map(tuple, relabel(base.sigma, g))))
+    assert len(set(map(id, raw.sigma))) == raw.n > len(set(raw.sigma))
+    pool = [build_c(p) for n in range(1, 65) for p in enumerate_family(n)]
+    pool += [build_nonabelian_example(m) for m in (1, 3, 8)]
+    pool += [pi_isotope(inverse_isotope(base, 3), base.sigma[3]), raw]
+    pool += exhaustive_enumerate(4)
+    for s in pool:
+        want = json.dumps({"n": s.n, "sigma": [list(r) for r in s.sigma]}, separators=(",", ":"))
+        assert solution_to_json(s) == want

@@ -1,6 +1,8 @@
 """Generated inputs at the boundary: CLI texts, core tables, is_perm, class_ids.
 
 Every CLI text ends in exit 0, 1 or 2 with no exception escaping run;
+core.table_from_json parses every text as json.loads of the whole text
+does, in solution_to_json's compact form too;
 every core entry point returns or raises its documented errors;
 perm.is_perm applies the entry rule that core's table validation does;
 and perm.class_ids numbers rows as a whole-row dict does.
@@ -18,7 +20,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from helpers import class_ids_by_whole_rows  # noqa: E402
+from helpers import class_ids_by_whole_rows, parse_outcome, table_by_json_loads  # noqa: E402
 from ybe_lab.classify import enumerate_family  # noqa: E402
 from ybe_lab.cli import run  # noqa: E402
 from ybe_lab.construct import build_c  # noqa: E402
@@ -26,6 +28,7 @@ from ybe_lab.core import (  # noqa: E402
     Solution,
     check_cycle_condition,
     solution_from_table,
+    table_from_json,
     tau_from_sigma,
     verify_solution,
 )
@@ -70,6 +73,7 @@ TABLES = st.one_of(
 # are rare choices put last
 ONE_IN = {k: st.sampled_from([False] * (k - 1) + [True]) for k in (4, 5)}
 SHAPES = st.sampled_from(["object"] * 12 + ["no n", "sigma not a list", "bare table"])
+SEPARATORS = st.sampled_from([None, (",", ":")])
 WRONG_N = st.one_of(
     st.integers(-1, 5), st.booleans(), st.sampled_from([1.0, "2", None])
 )
@@ -91,7 +95,8 @@ def documents(draw):
         doc["sigma"] = draw(ENTRIES)
     elif shape == "bare table":
         doc = table
-    text = json.dumps(doc)
+    # the default separators, or solution_to_json's compact ones
+    text = json.dumps(doc, separators=draw(SEPARATORS))
     if draw(ONE_IN[5]):
         text = text[: draw(st.integers(0, len(text)))]
     return text
@@ -117,6 +122,12 @@ def test_cli_exits_0_1_or_2_on_any_text(text, command):
         assert out == "" and err.startswith("error: ")
     else:
         json.loads(out)
+
+
+@FUZZ
+@hypothesis.given(documents())
+def test_table_from_json_is_json_loads_of_the_whole_text(text):
+    assert parse_outcome(table_from_json, text) == parse_outcome(table_by_json_loads, text)
 
 
 @FUZZ
